@@ -11,7 +11,6 @@ demonstrate that the modular-relation criterion actually bites.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -64,6 +63,8 @@ class Tolerances:
     def overridden(value: float | None) -> "Tolerances":
         if value is None:
             return Tolerances()
+        if value < 0:
+            raise ValueError("tolerance override must be nonnegative")
         return Tolerances(modular=value, stone_von_neumann=value,
                           verlinde=value, theta_value=value,
                           quasi_periodicity=value, heat_residual=value,
@@ -513,12 +514,15 @@ ALL_CRITERIA = [
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None,
-            defects=frozenset(), threads: int | None = None) -> list[CriterionResult]:
+            defects=frozenset(), threads: int = 1) -> list[CriterionResult]:
+    """Run the ten criteria in order.  The criteria are pure-Python work,
+    so threads would only contend for the interpreter lock; `threads` is
+    accepted for callers that pass 1 and any other value is refused."""
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     tol = Tolerances.overridden(tolerance)
-    if threads is None:
-        threads = int(os.environ.get("LATTICE_CFT_THREADS", "1") or "1")
-
-    def run_one(fn):
+    results = []
+    for fn in ALL_CRITERIA:
         start = time.perf_counter()
         try:
             result = fn(tol, seed, defects)
@@ -527,12 +531,5 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None,
             result = CriterionResult(cid, fn.__name__, False,
                                      {"error": repr(exc)})
         result.seconds = round(time.perf_counter() - start, 3)
-        return result
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, ALL_CRITERIA))
-    else:
-        results = [run_one(fn) for fn in ALL_CRITERIA]
+        results.append(result)
     return sorted(results, key=lambda r: r.cid)

@@ -13,13 +13,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidSplit, MissingLabel
-from .lattices import DiscriminantGroup, EvenLattice, signature_mod8
+from .exact import PhaseSum
+from .lattices import (
+    DiscriminantGroup,
+    EvenLattice,
+    GroupElement,
+    signature_mod8,
+)
 from .surfaces import (
     IN,
     OUT,
@@ -230,44 +238,50 @@ class VerlindeReport:
     equal: bool
 
 
-def verlinde_check(s: Surface, labels: BlockLabel, disc: DiscriminantGroup,
-                   guard: float = 1e-4) -> VerlindeReport:
-    """Compare the S-matrix character sum with the block dimension.
+def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
+    """sum_j e(-b(a, j)) over all j in A.  Since b(a, j) is
+    sum_k j_k b(a, e_k) over the generators e_k, every phase is a
+    multiple of 1/N, N the common denominator of the b(a, e_k)."""
+    row = [disc.bilinear_coords(a.coords, e.coords) for e in disc.generators()]
+    level = math.lcm(*(c.denominator for c in row))
+    steps = [c.numerator * (level // c.denominator) for c in row]
+    elements = itertools.product(*map(range, disc.invariant_factors))
+    counts = Counter(-sum(map(operator.mul, j, steps)) % level
+                     for j in elements)
+    return PhaseSum(Counter({Fraction(m, level): n
+                             for m, n in counts.items()}))
 
-    Connected components are handled through the tensor property; the
-    per-component sum is sum_j S_{0j}^(2 - 2g - n) prod_i S_{l_i j} with
-    incoming labels negated.  Rounding aborts if the value is farther
-    than `guard` from an integer.
+
+def verlinde_check(s: Surface, labels: BlockLabel,
+                   disc: DiscriminantGroup) -> VerlindeReport:
+    """Compare the Verlinde sum with the block dimension, exactly.
+
+    Per connected component the sum is
+    sum_j S_{0j}^(2 - 2g - n) prod_i S_{l_i j} with incoming labels
+    negated.  Since S_{ab} = |A|^(-1/2) e(-b(a, b)), it equals
+    |A|^(g - 1) sum_j e(-b(L, j)) with L the signed label sum, and that
+    root-of-unity sum is evaluated as a PhaseSum and read back as an
+    integer.  Its float value is kept only for the reported verlinde_raw
+    and deviation.
     """
-    s_mat = s_matrix(disc)
-    els = list(disc.elements())
-    index = {a.coords: i for i, a in enumerate(els)}
-    zero = index[disc.zero.coords]
-    total = complex(1.0)
-    for comp in s.components:
-        n_lab = len(comp.boundaries)
-        acc = 0j
-        for j in range(disc.order):
-            term = s_mat[zero, j] ** (2 - 2 * comp.genus - n_lab)
-            for circle in comp.boundaries:
-                lam = labels.get(circle.id)
-                if lam is None:
-                    raise MissingLabel(f"no label for circle {circle.id!r}")
-                if circle.orientation == IN:
-                    lam = disc.neg(lam)
-                term *= s_mat[index[lam.coords], j]
-            acc += term
-        total *= acc
-    rounded = int(round(total.real))
-    deviation = abs(total - rounded)
-    if deviation > guard:
-        raise ArithmeticError(
-            f"Verlinde sum {total} is not close to an integer; "
-            f"deviation {deviation} exceeds the rounding guard {guard}")
+    n = disc.order
+    num, den = 1, 1
+    raw, approx = 1 + 0j, 1.0
+    for comp, total in zip(s.components, delta_obstruction(s, labels, disc)):
+        phases = _character_sum(disc, total)
+        # a character sum over A: |A| or 0, always an integer
+        value = phases.integer_value()
+        num *= value * n ** comp.genus
+        den *= n
+        # numpy's power gives inf instead of raising past the float range
+        scale = float(np.float64(n) ** (comp.genus - 1))
+        raw *= scale * phases.to_complex()
+        approx *= scale * value
+    exact = Fraction(num, den)
     bdim = block_dimension(s, labels, disc)
-    return VerlindeReport(verlinde_raw=complex(total), rounded=rounded,
-                          block_dim=bdim, deviation=deviation,
-                          equal=rounded == bdim)
+    return VerlindeReport(verlinde_raw=raw, rounded=round(exact),
+                          block_dim=bdim, deviation=abs(raw - approx),
+                          equal=exact == bdim)
 
 
 @dataclass(frozen=True, eq=False)

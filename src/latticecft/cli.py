@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,31 +23,6 @@ from .lattices import discriminant_group, validate_even_lattice
 from .surfaces import BlockLabel, Surface
 
 DEFAULT_SEED = acceptance.DEFAULT_SEED
-
-COMMANDS = ("disc", "blocks", "factorize", "modular", "verlinde", "theta",
-            "fock", "heisenberg", "accept")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, inputs, tolerance overrides, seed
-    and output destination."""
-
-    command: str
-    seed: int = DEFAULT_SEED
-    output: str | None = None
-    tolerance: float | None = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance override must be nonnegative")
-
-    def opt(self, name, default=None):
-        return self.options.get(name, default)
-
 
 class _UsageError(Exception):
     pass
@@ -156,8 +130,8 @@ def _parse_complex_array(data):
 # command handlers: each returns (inputs, results, verified_or_None)
 
 
-def _cmd_disc(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
+def _cmd_disc(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
     g = lattices.gauss_sum(disc)
     results = {
         "invariant_factors": list(disc.invariant_factors),
@@ -174,25 +148,25 @@ def _cmd_disc(config: RunConfig):
     return {"gram": gram}, results, None
 
 
-def _cmd_blocks(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
-    s = _load_surface(config.opt("surface"))
-    labels = _load_labels(config.opt("labels"), disc)
+def _cmd_blocks(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
+    s = _load_surface(args.surface)
+    labels = _load_labels(args.labels, disc)
     dim = blocks.block_dimension(s, labels, disc)
     inputs = {"gram": gram, "surface": s.to_json(),
               "labels": {cid: list(e.coords) for cid, e in labels.items()}}
     return inputs, {"dimension": dim}, None
 
 
-def _cmd_factorize(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
-    s = _load_surface(config.opt("surface"))
-    pieces_data = _load_json_arg(config.opt("pieces"))
+def _cmd_factorize(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
+    s = _load_surface(args.surface)
+    pieces_data = _load_json_arg(args.pieces)
     pieces = tuple(Surface.from_json(p) for p in pieces_data)
-    matching = [(str(a), str(b)) for a, b in _load_json_arg(config.opt("matching"))]
-    labels = _load_labels(config.opt("labels"), disc)
+    matching = [(str(a), str(b)) for a, b in _load_json_arg(args.matching)]
+    labels = _load_labels(args.labels, disc)
     rep = blocks.verify_factorization(s, pieces, matching, labels, disc,
-                                      keep_terms=config.opt("terms", False))
+                                      keep_terms=args.terms)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal}
     if rep.terms is not None:
         results["terms"] = [{"assignment": [list(c) for c in assign],
@@ -203,8 +177,8 @@ def _cmd_factorize(config: RunConfig):
     return inputs, results, rep.equal
 
 
-def _cmd_modular(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
+def _cmd_modular(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
     rep = blocks.genus1_mcg_rep(disc)
     md = blocks.modular_data(lat, disc)
     results = {
@@ -224,15 +198,11 @@ def _cmd_modular(config: RunConfig):
     return {"gram": gram}, results, rep.ok
 
 
-def _cmd_verlinde(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
-    s = _load_surface(config.opt("surface"))
-    labels = _load_labels(config.opt("labels"), disc)
-    try:
-        rep = blocks.verlinde_check(s, labels, disc)
-    except ArithmeticError as exc:
-        inputs = {"gram": gram, "surface": s.to_json()}
-        return inputs, {"equal": False, "detail": str(exc)}, False
+def _cmd_verlinde(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
+    s = _load_surface(args.surface)
+    labels = _load_labels(args.labels, disc)
+    rep = blocks.verlinde_check(s, labels, disc)
     results = {"verlinde_re": rep.verlinde_raw.real,
                "verlinde_im": rep.verlinde_raw.imag,
                "rounded": rep.rounded, "block_dimension": rep.block_dim,
@@ -242,55 +212,49 @@ def _cmd_verlinde(config: RunConfig):
     return inputs, results, rep.equal
 
 
-def _cmd_theta(config: RunConfig):
+def _cmd_theta(args: argparse.Namespace):
     tau = theta.SiegelPoint.make(np.atleast_2d(_parse_complex_array(
-        _load_json_arg(config.opt("tau")))))
-    z = np.atleast_1d(_parse_complex_array(_load_json_arg(config.opt("z"))))
-    a, b = _parse_char(config.opt("char"), tau.g)
+        _load_json_arg(args.tau))))
+    z = np.atleast_1d(_parse_complex_array(_load_json_arg(args.z)))
+    a, b = _parse_char(args.char, tau.g)
     spec = theta.ThetaSpec.make(a, b)
-    tol = config.opt("tol", 1e-10)
-    val = theta.theta(spec, z, tau, tol=tol)
+    val = theta.theta(spec, z, tau, tol=args.tol)
     inputs = {"tau_re": tau.tau.real.tolist(), "tau_im": tau.tau.imag.tolist(),
               "z_re": z.real.tolist(), "z_im": z.imag.tolist(),
               "a": [str(x) for x in a], "b": [str(x) for x in b],
-              "tol": tol}
+              "tol": args.tol}
     results = {"value_re": val.value.real, "value_im": val.value.imag,
                "tail_bound": val.tail_bound, "R": val.radius}
     return inputs, results, None
 
 
-def _cmd_fock(config: RunConfig):
-    if config.opt("action") != "character":
-        raise _UsageError(f"unknown fock action {config.opt('action')!r}")
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
-    coords = [int(c) for c in str(config.opt("phi")).split(",")]
+def _cmd_fock(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
+    coords = [int(c) for c in args.phi.split(",")]
     k = len(disc.invariant_factors)
     if coords == [0] and k != 1:
         coords = [0] * k
     phi = disc.element(tuple(coords))
-    max_energy = config.opt("max_energy", 10)
-    ch = fock.sector_character(lat, disc, phi, max_energy)
+    ch = fock.sector_character(lat, disc, phi, args.max_energy)
     inputs = {"gram": gram, "phi": list(phi.coords),
-              "max_energy": max_energy}
+              "max_energy": args.max_energy}
     results = {"ground_energy": str(ch.ground_energy),
                "coefficients": list(ch.coefficients),
                "lift": [str(x) for x in ch.lift]}
     return inputs, results, None
 
 
-def _cmd_heisenberg(config: RunConfig):
-    lat, disc, gram = _load_lattice(config.opt("lattice"))
-    genus = config.opt("genus", 1)
-    chi = config.opt("chi", 1)
-    rep = heisenberg.schroedinger_irrep(disc, genus, chi=chi)
-    inputs = {"gram": gram, "genus": genus, "chi": chi}
+def _cmd_heisenberg(args: argparse.Namespace):
+    lat, disc, gram = _load_lattice(args.lattice)
+    rep = heisenberg.schroedinger_irrep(disc, args.genus, chi=args.chi)
+    inputs = {"gram": gram, "genus": args.genus, "chi": args.chi}
     return inputs, rep.to_json(), None
 
 
-def _cmd_accept(config: RunConfig):
-    defects = frozenset(config.opt("defect") or [])
-    results = acceptance.run_all(seed=config.seed, tolerance=config.tolerance,
-                                 defects=defects, threads=config.opt("threads"))
+def _cmd_accept(args: argparse.Namespace):
+    defects = frozenset(args.defect or [])
+    results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance,
+                                 defects=defects)
     rows = []
     all_ok = True
     for r in results:
@@ -301,7 +265,7 @@ def _cmd_accept(config: RunConfig):
         all_ok = all_ok and bool(r.passed)
         print(f"criterion {r.cid:02d} [{'PASS' if r.passed else 'FAIL'}] "
               f"{r.name} ({r.seconds:.2f}s)", file=sys.stderr)
-    inputs = {"tolerance": config.tolerance, "defects": sorted(defects)}
+    inputs = {"tolerance": args.tolerance, "defects": sorted(defects)}
     return inputs, {"criteria": rows, "all_passed": all_ok}, all_ok
 
 
@@ -398,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--defect", action="append", choices=["s_sign_flip"],
                    help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -410,15 +373,10 @@ def run(argv) -> tuple[int, bytes, str | None]:
         args = parser.parse_args(argv)
         command = args.command
         output = args.output
-        options = {k: v for k, v in vars(args).items()
-                   if k not in ("command", "seed", "output", "tolerance")}
-        config = RunConfig(command=command, seed=args.seed, output=args.output,
-                           tolerance=getattr(args, "tolerance", None),
-                           options=options)
-        inputs, results, verified = HANDLERS[command](config)
+        inputs, results, verified = HANDLERS[command](args)
         report = {"format": 1, "command": command,
                   "inputs_digest": _digest(_jsonable(inputs)),
-                  "seed": config.seed, "results": _jsonable(results)}
+                  "seed": args.seed, "results": _jsonable(results)}
         code = 0 if verified in (None, True) else 1
         return code, (canonical_json(report) + "\n").encode(), output
     except (_UsageError, _ParseError, json.JSONDecodeError, KeyError,

@@ -96,10 +96,12 @@ class PhaseSum:
     def scaled(self, k: int) -> "PhaseSum":
         return PhaseSum(Counter({q: k * n for q, n in self.terms.items()}))
 
-    def is_zero(self) -> bool:
+    def _reduced(self) -> list[int]:
+        """Coordinates in the basis 1, z, ..., z^(d-1) of Q(z), z the
+        primitive root of unity of the phases' common denominator: the
+        integer polynomial of the sum reduced modulo the cyclotomic
+        polynomial of that level."""
         terms = {q: n for q, n in self.terms.items() if n}
-        if not terms:
-            return True
         level = lcm(*(q.denominator for q in terms))
         vec = [0] * level
         for q, n in terms.items():
@@ -111,7 +113,15 @@ class PhaseSum:
             if c:
                 for j, pj in enumerate(phi):
                     vec[i - d + j] -= c * pj
-        return not any(vec)
+        return vec[:d]
+
+    def is_zero(self) -> bool:
+        return not any(self._reduced())
+
+    def integer_value(self) -> int | None:
+        """The sum as an integer, or None when it is not a rational integer."""
+        vec = self._reduced()
+        return None if any(vec[1:]) else vec[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseSum):

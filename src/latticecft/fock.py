@@ -20,7 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegralEnergy, NotContractive
-from .lattices import DiscriminantGroup, EvenLattice, GroupElement
+from .lattices import (
+    DiscriminantGroup,
+    EvenLattice,
+    GroupElement,
+    _solve_fraction,
+)
 
 # ---------------------------------------------------------------------------
 # loop cocycle
@@ -254,6 +259,8 @@ def sector_character(lat: EvenLattice, disc: DiscriminantGroup,
     """Energy-graded dimensions of the sector phi: the theta series of the
     shifted lattice divided by rank copies of the Euler product, shifted
     by the ground energy."""
+    if max_energy < 0:
+        raise ValueError(f"max_energy must be nonnegative, got {max_energy}")
     lift = minimal_norm_lift(lat, disc, phi)
     ground = _gram_quadratic(lat.gram, lift) / 2
     offsets = _lattice_offsets(lat, lift, max_energy)
@@ -357,7 +364,9 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
     lam_min_dual = 1.0 / float(
         np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
     half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
-    gram_inv_cols = _dual_basis(lat.gram)
+    gram_inv_cols = [_solve_fraction(lat.gram, [Fraction(int(k == i))
+                                                for k in range(r)])
+                     for i in range(r)]
     duals = []
     for k in itertools.product(range(-half, half + 1), repeat=r):
         v = tuple(sum(gram_inv_cols[j][i] * k[j] for j in range(r))
@@ -389,26 +398,6 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
     lhs_t, rhs_t = freeze(lhs), freeze(rhs)
     return SewingReport(max_energy=max_energy, equal=lhs_t == rhs_t,
                         lhs_table=lhs_t, rhs_table=rhs_t)
-
-
-def _dual_basis(gram) -> list[list[Fraction]]:
-    r = len(gram)
-    cols = []
-    for i in range(r):
-        rhs = [Fraction(int(k == i)) for k in range(r)]
-        aug = [[Fraction(gram[a][b]) for b in range(r)] + [rhs[a]]
-               for a in range(r)]
-        for col in range(r):
-            piv = next(j for j in range(col, r) if aug[j][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for j in range(r):
-                if j != col and aug[j][col] != 0:
-                    f = aug[j][col]
-                    aug[j] = [x - f * y for x, y in zip(aug[j], aug[col])]
-        cols.append([aug[j][r] for j in range(r)])
-    return cols
 
 
 # ---------------------------------------------------------------------------

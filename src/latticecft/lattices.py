@@ -123,12 +123,6 @@ def _snf_with_inverse(m: IntMatrix):
         for r in v:
             r[j] += c * r[k]
 
-    def col_neg(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
-
     n = min(rows, cols)
     for t in range(n):
         while True:
@@ -304,12 +298,6 @@ class DiscriminantGroup:
             tab = [[float(self.bilinear(a, b)) for b in els] for a in els]
             self._bft = tab
         return tab
-
-    def element_index(self, a: GroupElement) -> int:
-        idx = 0
-        for c, d in zip(a.coords, self.invariant_factors):
-            idx = idx * d + c
-        return idx
 
     def __repr__(self) -> str:
         return f"DiscriminantGroup(factors={self.invariant_factors})"

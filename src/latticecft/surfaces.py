@@ -245,15 +245,6 @@ class IntersectionForm:
         tab = self.disc.bilinear_float_table()
         return sum(tab[idx[x[k]]][idx[y[l]]] for k, l in self._upper)
 
-    def pairing_float(self, x, y) -> float:
-        idx = self._float_index()
-        tab = self.disc.bilinear_float_table()
-        s = 0.0
-        for k, l, sign in self._pairs:
-            v = tab[idx[x[k]]][idx[y[l]]]
-            s += v if sign > 0 else -v
-        return s
-
     def add(self, x, y):
         add = self.disc.add_coords
         return tuple(add(a, b) for a, b in zip(x, y))

@@ -88,5 +88,9 @@ class TestSuiteSemantics:
         for cid in (3, 5, 6, 7, 9):
             assert not by_id[cid], cid
 
+    def test_only_serial_runs(self):
+        with pytest.raises(ValueError, match="threads"):
+            run_all(seed=DEFAULT_SEED, threads=2)
+
     def test_criteria_cover_ten_ids(self):
         assert len(ALL_CRITERIA) == 10

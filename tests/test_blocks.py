@@ -266,3 +266,57 @@ class TestVerlinde:
                     s = s.disjoint_union(extra)
                 rep = verlinde_check(s, BlockLabel.from_dict(labels), disc)
                 assert rep.equal and rep.deviation < 1e-6
+
+    # Genera where a float sum rounded against a guard reports a false
+    # failure: the verdict must come from the exact sum.
+    @pytest.mark.parametrize("genus", range(34, 61))
+    def test_closed_z2_high_genus(self, z2, genus):
+        rep = verlinde_check(Surface.closed(genus), no_labels(), z2)
+        assert rep.equal and rep.rounded == rep.block_dim == 2 ** genus
+
+    @pytest.mark.parametrize("genus", range(22, 41))
+    def test_a2_high_genus(self, z3, genus):
+        s = Surface.connected(genus, [("a", OUT), ("b", IN)])
+        for x, y, dim in ((1, 1, 3 ** genus), (1, 2, 0)):
+            labels = BlockLabel.from_dict({"a": z3.element((x,)),
+                                           "b": z3.element((y,))})
+            rep = verlinde_check(s, labels, z3)
+            assert rep.equal and rep.rounded == rep.block_dim == dim
+
+    def test_z4_genus_51_with_labels(self):
+        z4 = disc_of([[4]])
+        s = Surface.connected(51, [("a", OUT), ("b", OUT), ("c", IN)])
+        for coords, dim in (((1, 2, 3), 4 ** 51), ((1, 1, 3), 0)):
+            labels = BlockLabel.from_dict(
+                {cid: z4.element((c,)) for cid, c in zip("abc", coords)})
+            rep = verlinde_check(s, labels, z4)
+            assert rep.equal and rep.rounded == rep.block_dim == dim
+
+    def test_matches_s_matrix_sum(self):
+        # reference: the sum written with the S matrix, in floats
+        rng = random.Random(11)
+        d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+        for gram in ([[2, 0], [0, 2]], [[2, 0], [0, 8]], [[6]], d4):
+            disc = disc_of(gram)
+            s_mat = s_matrix(disc)
+            els = list(disc.elements())
+            index = {a.coords: i for i, a in enumerate(els)}
+            for _ in range(20):
+                genus = rng.randrange(0, 3)
+                circles = [(f"c{k}", rng.choice([OUT, IN]))
+                           for k in range(rng.randrange(0, 4))]
+                labels = {cid: rng.choice(els) for cid, _ in circles}
+                rows = [index[(lab if ori == OUT else disc.neg(lab)).coords]
+                        for (cid, ori), lab in zip(circles, labels.values())]
+                want = sum(s_mat[0, j] ** (2 - 2 * genus - len(rows))
+                           * np.prod([s_mat[r, j] for r in rows])
+                           for j in range(disc.order))
+                rep = verlinde_check(Surface.connected(genus, circles),
+                                     BlockLabel.from_dict(labels), disc)
+                assert abs(want - rep.rounded) < 1e-9
+                assert abs(want - rep.verlinde_raw) < 1e-9 and rep.equal
+
+    def test_missing_label(self, z3):
+        s = Surface.connected(1, [("c", OUT)])
+        with pytest.raises(MissingLabel):
+            verlinde_check(s, no_labels(), z3)

@@ -97,6 +97,16 @@ class TestVerlinde:
         assert rep["results"]["rounded"] == rep["results"]["block_dimension"] == 1
 
 
+    def test_closed_genus_36_is_exact(self):
+        surface = '{"components":[{"genus":36,"boundaries":[]}]}'
+        code, rep = invoke(["verlinde", "--surface", surface,
+                            "--lattice", "[[2]]"])
+        assert code == 0
+        assert rep["results"]["rounded"] == 68719476736
+        assert rep["results"]["block_dimension"] == 68719476736
+        assert rep["results"]["equal"] is True
+
+
 class TestTheta:
     def test_theta3(self):
         code, rep = invoke(["theta", "--tau", '{"re": 0, "im": 1}',
@@ -130,6 +140,14 @@ class TestFock:
         assert code == 0
         assert rep["results"]["ground_energy"] == "1/4"
         assert rep["results"]["coefficients"] == [2, 2, 6]
+
+
+    def test_negative_max_energy_is_validation_error(self):
+        code, rep = invoke(["fock", "character", "--lattice", "[[2]]",
+                            "--max-energy", "-1"])
+        assert code == 2
+        assert rep["error_kind"] == "validation"
+        assert "max_energy" in rep["detail"]
 
 
 class TestHeisenberg:
@@ -174,6 +192,12 @@ class TestExitCodes:
         # this split is valid and the identity holds, so exit 0;
         # the exit-1 path is exercised through accept --defect below
         assert code == 0 and rep["results"]["equal"] is True
+
+    def test_negative_tolerance_is_validation_error(self):
+        code, rep = invoke(["accept", "--tolerance", "-1"])
+        assert code == 2
+        assert rep["error_kind"] == "validation"
+        assert rep["detail"] == "tolerance override must be nonnegative"
 
     def test_accept_defect_fails(self):
         code, rep = invoke(["accept", "--defect", "s_sign_flip"])

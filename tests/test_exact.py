@@ -72,6 +72,39 @@ class TestPhaseSum:
             s.add(Fraction(num, 12), mult)
         assert s.is_zero() == (abs(s.to_complex()) < 1e-9)
 
+    def test_integer_value_of_full_cycle_is_zero(self):
+        for n in (2, 3, 5, 6, 12):
+            s = PhaseSum()
+            for k in range(n):
+                s.add(Fraction(k, n))
+            assert s.integer_value() == 0
+
+    def test_integer_value_of_primitive_cube_root_is_none(self):
+        s = PhaseSum()
+        s.add(Fraction(1, 3))
+        assert s.integer_value() is None
+
+    def test_integer_value_reads_back_integers(self):
+        # w + w^2 = -1 for the cube root w; -1 counted twice is -2
+        s = PhaseSum()
+        s.add(Fraction(1, 3), 2)
+        s.add(Fraction(2, 3), 2)
+        s.add(Fraction(0), 5)
+        assert s.integer_value() == 3
+        assert PhaseSum().integer_value() == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(-3, 3)),
+                    max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_value_matches_numerics(self, pairs):
+        s = PhaseSum()
+        for num, mult in pairs:
+            s.add(Fraction(num, 12), mult)
+        val = s.to_complex()
+        near = round(val.real)
+        expected = near if abs(val - near) < 1e-9 else None
+        assert s.integer_value() == expected
+
     def test_scaled(self):
         s = PhaseSum()
         s.add(Fraction(1, 2), 3)

@@ -177,7 +177,18 @@ class TestSectorCharacter:
         assert by_offset == [1, 3, 4, 7]
 
 
+    def test_negative_max_energy_names_the_argument(self):
+        lat, disc = lattice_pair([[2]])
+        with pytest.raises(ValueError, match="max_energy"):
+            sector_character(lat, disc, disc.zero, -1)
+
+
 class TestAnnulusSewing:
+    def test_negative_max_energy_names_the_argument(self):
+        lat, disc = lattice_pair([[2]])
+        with pytest.raises(ValueError, match="max_energy"):
+            annulus_sewing_check(lat, disc, -1)
+
     def test_order_zero(self):
         lat, disc = lattice_pair([[2]])
         rep = annulus_sewing_check(lat, disc, 0)
