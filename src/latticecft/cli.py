@@ -203,10 +203,11 @@ def _cmd_verlinde(args: argparse.Namespace):
     s = _load_surface(args.surface)
     labels = _load_labels(args.labels, disc)
     rep = blocks.verlinde_check(s, labels, disc)
-    results = {"verlinde_re": rep.verlinde_raw.real,
-               "verlinde_im": rep.verlinde_raw.imag,
-               "rounded": rep.rounded, "block_dimension": rep.block_dim,
-               "deviation": rep.deviation, "equal": rep.equal}
+    results = {"verlinde_re": rep.verlinde_raw.real, "verlinde_im": rep.verlinde_raw.imag,
+               "deviation": rep.deviation}
+    # JSON has no inf or NaN: past the float range these read null
+    results = {k: v if np.isfinite(v) else None for k, v in results.items()}
+    results.update(rounded=rep.rounded, block_dimension=rep.block_dim, equal=rep.equal)
     inputs = {"gram": gram, "surface": s.to_json(),
               "labels": {cid: list(e.coords) for cid, e in labels.items()}}
     return inputs, results, rep.equal

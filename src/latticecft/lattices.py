@@ -17,10 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotPositiveDefinite, NotSymmetric, OddDiagonal
+import numpy as np
+
+from .errors import GroupTooLarge, NotPositiveDefinite, NotSymmetric, OddDiagonal
 from .exact import det_int
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# Most entries a call may build: |A| (Gauss sum), |A|^2 (S, T, C), |A|^3 (fusion).
+DENSE_ENTRY_BUDGET = 2 ** 24
+
+
+def _within_budget(entries: int, what: str) -> None:
+    if entries > DENSE_ENTRY_BUDGET:
+        raise GroupTooLarge(f"{what} needs {entries} entries, over {DENSE_ENTRY_BUDGET}")
 
 
 def _as_int_matrix(gram) -> IntMatrix:
@@ -185,9 +195,9 @@ class DiscriminantGroup:
     """The finite group A = (dual lattice)/(lattice) with its induced
     bilinear form mod 1 and quadratic form mod 2.
 
-    Coordinates: A = prod Z/d_i over the nontrivial invariant factors
-    d_1 | d_2 | ... of the Gram matrix; iteration over elements is
-    lexicographic in these coordinates.
+    Coordinates: A = prod Z/d_i, d_1 | ... | d_k = N the nontrivial invariant
+    factors of the Gram matrix, iterated lexicographically.  On generators
+    `bilinear_int` is N b mod N and `quadratic_int` is N q mod 2N.
     """
 
     def __init__(self, lattice: EvenLattice):
@@ -218,6 +228,11 @@ class DiscriminantGroup:
             s = sum(self.lift_vectors[i][t] * uinv[t][keep[i]] for t in range(r))
             quad.append(s % 2)
         self.quadratic_diag: tuple[Fraction, ...] = tuple(quad)
+        n = self.exponent = max(self.invariant_factors, default=1)
+        dtype = np.int64 if n <= DENSE_ENTRY_BUDGET else object  # such |A| build no table
+        self.bilinear_int = np.array([[int(x * n) for x in row] for row in bil],
+                                     dtype=dtype).reshape(k, k)
+        self.quadratic_int = np.array([int(x * n) for x in quad], dtype=dtype)
 
     # -- elements ---------------------------------------------------------
 
@@ -248,6 +263,15 @@ class DiscriminantGroup:
 
     def neg_coords(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
+
+    def coordinates(self) -> np.ndarray:
+        """order x k array of element coordinates in elements() order."""
+        return np.indices(self.invariant_factors).reshape(-1, self.order).T
+
+    def index(self, coords) -> np.ndarray:
+        """elements() positions of coordinate rows (last axis), reduced mod d_i."""
+        return np.ravel_multi_index(np.moveaxis(coords, -1, 0), self.invariant_factors,
+                                    mode="wrap").reshape(np.shape(coords)[:-1])
 
     def generators(self) -> tuple[GroupElement, ...]:
         k = len(self.invariant_factors)
@@ -289,6 +313,15 @@ class DiscriminantGroup:
                         s += 2 * x * c[j] * self.bilinear_matrix[i][j]
         return s % 2
 
+    def quadratic_values(self) -> np.ndarray:
+        """N q(a) mod 2N in elements() order; no order x k array is built."""
+        two_n, axes = 2 * self.exponent, np.ix_(*map(np.arange, self.invariant_factors))
+        out = np.zeros(self.invariant_factors, dtype=np.int64)
+        for i, j in itertools.combinations_with_replacement(range(len(axes)), 2):
+            coef = self.quadratic_int[i] if i == j else 2 * self.bilinear_int[i, j]
+            out += coef * (axes[i] * axes[j] % two_n) % two_n
+        return (out % two_n).reshape(-1)
+
     def bilinear_float_table(self):
         """order x order table of float bilinear values, elements in
         lexicographic order; cached for hot loops."""
@@ -325,10 +358,13 @@ def discriminant_group(lat: EvenLattice) -> DiscriminantGroup:
 
 def gauss_sum(disc: DiscriminantGroup) -> complex:
     """Sum of e^(pi i q(a)) over A; modulus sqrt|A|, argument encodes the
-    lattice signature mod 8."""
+    lattice signature mod 8.  Terms are added in elements() order."""
+    _within_budget(disc.order, "the Gauss sum")
+    n = disc.exponent
+    roots = [cmath.exp(1j * cmath.pi * (m / n)) for m in range(2 * n)]
     total = 0j
-    for a in disc.elements():
-        total += cmath.exp(1j * cmath.pi * float(disc.quadratic(a)))
+    for m in disc.quadratic_values():
+        total += roots[m]
     return total
 
 

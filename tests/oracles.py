@@ -3,17 +3,20 @@
 These deliberately avoid the code paths they certify: determinants by
 Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
-raw summation, state counts by explicit enumeration.
+raw summation, state counts by explicit enumeration, modular data one
+entry at a time from the `Fraction` forms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from latticecft.surfaces import OUT, Surface
+from latticecft.blocks import block_dimension
+from latticecft.surfaces import IN, OUT, BlockLabel, Surface
 
 
 def laplace_det(m) -> int:
@@ -193,3 +196,43 @@ def quadrature_loop_pairing(xi_fn, deta_fn, n_points=4096) -> float:
     theta = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
     vals = np.array([np.dot(xi_fn(t), deta_fn(t)) for t in theta])
     return float(vals.mean() * 2 * np.pi)
+
+
+def entrywise_s_matrix(disc) -> np.ndarray:
+    """S_ab = exp(-2 pi i b(a, b)) / sqrt|A|, one Fraction form per entry."""
+    els = list(disc.elements())
+    n = disc.order
+    s = np.empty((n, n), dtype=complex)
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            s[i, j] = np.exp(-2j * np.pi * float(disc.bilinear(a, b)))
+    return s / math.sqrt(n)
+
+
+def entrywise_t_matrix(disc) -> np.ndarray:
+    return np.diag([np.exp(1j * np.pi * float(disc.quadratic(a)))
+                    for a in disc.elements()])
+
+
+def entrywise_charge_conjugation(disc) -> np.ndarray:
+    els = list(disc.elements())
+    index = {a.coords: i for i, a in enumerate(els)}
+    c = np.zeros((disc.order, disc.order))
+    for i, a in enumerate(els):
+        c[i, index[disc.neg(a).coords]] = 1.0
+    return c
+
+
+def pants_fusion_tensor(disc) -> np.ndarray:
+    """N_ab^c as the block dimension of the three-holed sphere with a, b
+    incoming and c outgoing."""
+    els = list(disc.elements())
+    n = disc.order
+    tensor = np.zeros((n, n, n), dtype=int)
+    pants = Surface.pair_of_pants(("p0", "p1", "p2"), (IN, IN, OUT))
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            for k, c in enumerate(els):
+                labels = BlockLabel.from_dict({"p0": a, "p1": b, "p2": c})
+                tensor[i, j, k] = block_dimension(pants, labels, disc)
+    return tensor

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,20 @@ from latticecft.blocks import (
     verify_tensor_duality,
     verlinde_check,
 )
-from latticecft.errors import InvalidSplit, MissingLabel
+from latticecft.errors import GroupTooLarge, InvalidSplit, MissingLabel
 from latticecft.heisenberg import schroedinger_irrep
-from latticecft.lattices import discriminant_group, validate_even_lattice
+from latticecft.lattices import (
+    E8_GRAM,
+    discriminant_group,
+    validate_even_lattice,
+)
 from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
+from oracles import (
+    entrywise_charge_conjugation,
+    entrywise_s_matrix,
+    entrywise_t_matrix,
+    pants_fusion_tensor,
+)
 
 
 def disc_of(gram):
@@ -201,6 +212,53 @@ class TestModularData:
             assert np.allclose(s, s.T, atol=1e-12), name
             assert np.allclose(s @ s.conj().T, np.eye(disc.order), atol=1e-9), name
             assert np.allclose(s @ s, charge_conjugation(disc), atol=1e-9), name
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+TABLE_GRAMS = {
+    "z2": [[2]], "a2": [[2, 1], [1, 2]], "d4": D4, "e8": E8_GRAM,
+    "z12": [[12]], "z2z8": [[2, 0], [0, 8]], "g4_36": [[4, 2], [2, 36]],
+    "rank3": [[2, 1, 0], [1, 4, 1], [0, 1, 6]],
+    "z6_3": [[6, 0, 0], [0, 6, 0], [0, 0, 6]],
+}
+
+
+class TestIntegerTables:
+    @pytest.mark.parametrize("name", sorted(TABLE_GRAMS))
+    def test_bit_identical_to_entrywise_forms(self, name):
+        disc = disc_of(TABLE_GRAMS[name])
+        for table, oracle in ((s_matrix, entrywise_s_matrix),
+                              (t_matrix, entrywise_t_matrix),
+                              (charge_conjugation, entrywise_charge_conjugation)):
+            got, want = table(disc), oracle(disc)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("name", ["z2", "a2", "d4", "e8", "z12", "z2z8"])
+    def test_fusion_matches_pants_blocks(self, name):
+        disc = disc_of(TABLE_GRAMS[name])
+        assert disc.order <= 16
+        assert np.array_equal(fusion_rules(disc), pants_fusion_tensor(disc))
+
+    def test_mcg_peak_memory(self):
+        disc = disc_of([[512]])
+        tracemalloc.start()
+        try:
+            rep = genus1_mcg_rep(disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak <= 5.5 * disc.order ** 2 * 16
+
+    @pytest.mark.parametrize("table, order", [
+        (s_matrix, 8194), (t_matrix, 8194), (charge_conjugation, 8194),
+        (genus1_mcg_rep, 8194), (fusion_rules, 258)],
+        ids=["s_matrix", "t_matrix", "charge_conjugation", "genus1_mcg_rep",
+             "fusion_rules"])
+    def test_refused_above_budget(self, table, order):
+        # |A|^2 or, for fusion, |A|^3 just over 2^24 entries
+        with pytest.raises(GroupTooLarge):
+            table(disc_of([[order]]))
 
 
 class TestFusion:

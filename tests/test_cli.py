@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,18 @@ TORUS = '{"components":[{"genus":1,"boundaries":[]}]}'
 def invoke(argv):
     code, payload, _ = run(argv)
     return code, json.loads(payload.decode())
+
+
+def invoke_process(argv):
+    """Run the CLI as `python -m latticecft` on this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "latticecft", *argv],
+                          capture_output=True, env=env)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestDisc:
@@ -38,6 +51,15 @@ class TestDisc:
         code, rep = invoke(["disc", "--lattice", "[[1]]"])
         assert code == 2
         assert rep["error_kind"] == "OddDiagonal"
+
+    def test_group_over_budget_is_refused(self):
+        # |A| is about 1.6e11: the Gauss sum is refused before any work
+        proc = invoke_process(["disc", "--lattice",
+                               "[[2000,1,0],[1,4000,3],[0,3,20000]]"])
+        assert proc.returncode == 2
+        assert proc.stderr == b""
+        rep = json.loads(proc.stdout)
+        assert rep["error_kind"] == "GroupTooLarge"
 
 
 class TestBlocks:
@@ -105,6 +127,18 @@ class TestVerlinde:
         assert rep["results"]["rounded"] == 68719476736
         assert rep["results"]["block_dimension"] == 68719476736
         assert rep["results"]["equal"] is True
+
+    def test_past_float_range_writes_null(self):
+        surface = '{"components":[{"genus":1100,"boundaries":[]}]}'
+        proc = invoke_process(["verlinde", "--surface", surface,
+                               "--lattice", "[[2]]"])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        rep = json.loads(proc.stdout, parse_constant=refuse_constant)
+        res = rep["results"]
+        assert res["rounded"] == res["block_dimension"] == 2 ** 1100
+        assert res["equal"] is True
+        assert res["verlinde_re"] is None and res["deviation"] is None
 
 
 class TestTheta:

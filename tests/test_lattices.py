@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecft.errors import NotPositiveDefinite, NotSymmetric, OddDiagonal
+from latticecft.errors import (
+    GroupTooLarge,
+    NotPositiveDefinite,
+    NotSymmetric,
+    OddDiagonal,
+)
 from latticecft.exact import det_int
 from latticecft.lattices import (
     A2_GRAM,
@@ -216,6 +221,13 @@ class TestGaussSum:
         disc = discriminant_group(validate_even_lattice(D4_GRAM))
         assert abs(gauss_sum(disc) - (-2)) < 1e-12
         assert signature_mod8(disc) == 4
+
+    def test_refused_above_budget(self):
+        disc = discriminant_group(validate_even_lattice([[2 ** 24 + 2]]))
+        with pytest.raises(GroupTooLarge):
+            gauss_sum(disc)
+        with pytest.raises(GroupTooLarge):
+            signature_mod8(disc)
 
     @given(small_even_lattices())
     @settings(max_examples=40, deadline=None)
