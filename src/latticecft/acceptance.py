@@ -281,19 +281,14 @@ def criterion_05_modular(tol: Tolerances, seed: int,
         s = blocks.s_matrix(disc)
         if "s_sign_flip" in defects:
             s = -s
-        t = blocks.t_matrix(disc)
         sigma = lattices.signature_mod8(disc)
-        eye = np.eye(disc.order)
-        s2 = s @ s
-        st = s @ t
-        st3 = st @ st @ st
+        rep = blocks.modular_relations(disc, s, blocks.t_matrix(disc), sigma)
         devs = {
-            "unitarity": float(np.max(np.abs(s @ s.conj().T - eye))),
+            "unitarity": rep.unitarity_deviation,
             "symmetry": float(np.max(np.abs(s - s.T))),
-            "charge_conjugation": float(np.max(np.abs(
-                s2 - blocks.charge_conjugation(disc)))),
-            "st_cubed": float(np.max(np.abs(
-                st3 - np.exp(2j * np.pi * sigma / 8) * s2))),
+            "charge_conjugation": rep.s2_is_charge_conjugation,
+            "st_cubed": rep.st3_deviation,
+            "s4": rep.s4_deviation,
         }
         rows[name] = {**devs, "sigma": sigma}
         ok = ok and all(v < tol.modular for v in devs.values())

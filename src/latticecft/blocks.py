@@ -226,17 +226,14 @@ class VerlindeReport:
 
 
 def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
-    """sum_j e(-b(a, j)) over all j in A.  Since b(a, j) is
-    sum_k j_k b(a, e_k) over the generators e_k, every phase is a
-    multiple of 1/N, N the common denominator of the b(a, e_k)."""
-    row = [disc.bilinear_coords(a.coords, e.coords) for e in disc.generators()]
-    level = math.lcm(*(c.denominator for c in row))
-    steps = [c.numerator * (level // c.denominator) for c in row]
+    """sum_j e(-b(a, j)) over all j in A.  Since N b(a, j) is
+    sum_k j_k N b(a, e_k) over the generators e_k, every phase is a
+    multiple of 1/N, N the exponent."""
+    n = disc.exponent
+    steps = [disc._bilinear_scaled(a.coords, e.coords) for e in disc.generators()]
     elements = itertools.product(*map(range, disc.invariant_factors))
-    counts = Counter(-sum(map(operator.mul, j, steps)) % level
-                     for j in elements)
-    return PhaseSum(Counter({Fraction(m, level): n
-                             for m, n in counts.items()}))
+    counts = Counter(-sum(map(operator.mul, j, steps)) % n for j in elements)
+    return PhaseSum(Counter({Fraction(m, n): c for m, c in counts.items()}))
 
 
 def verlinde_check(s: Surface, labels: BlockLabel,
@@ -290,14 +287,20 @@ class MappingClassReport:
 
 
 def genus1_mcg_rep(disc: DiscriminantGroup) -> MappingClassReport:
-    """SL(2,Z) action on the genus-1 block space C^A: verifies S^4 = 1,
-    S^2 = charge conjugation and (S T)^3 = exp(2 pi i sigma/8) S^2.
-    At most five |A| x |A| complex arrays are alive at once."""
+    """SL(2,Z) action on the genus-1 block space C^A, with its relations
+    checked by `modular_relations`."""
+    return modular_relations(disc, s_matrix(disc), t_matrix(disc), signature_mod8(disc))
+
+
+def modular_relations(disc: DiscriminantGroup, s: np.ndarray, t: np.ndarray,
+                      sigma: int) -> MappingClassReport:
+    """Deviations of S and T from S^4 = 1, S^2 = charge conjugation,
+    (S T)^3 = exp(2 pi i sigma/8) S^2 and S S* = 1.  With the caller's
+    S and T, at most five |A| x |A| complex arrays are alive at once."""
     def deviation_from(a, perm):  # max |a - P| for P[i, perm[i]] = 1, in place
         a[np.arange(len(a)), perm] -= 1
         return float(np.max(np.abs(a)))
 
-    s, t, sigma = s_matrix(disc), t_matrix(disc), signature_mod8(disc)
     st = s @ t
     st3 = st @ st @ st
     del st

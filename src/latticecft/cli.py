@@ -180,7 +180,6 @@ def _cmd_factorize(args: argparse.Namespace):
 def _cmd_modular(args: argparse.Namespace):
     lat, disc, gram = _load_lattice(args.lattice)
     rep = blocks.genus1_mcg_rep(disc)
-    md = blocks.modular_data(lat, disc)
     results = {
         "labels": [list(a.coords) for a in disc.elements()],
         "S_re": rep.S.real.tolist(),
@@ -188,7 +187,7 @@ def _cmd_modular(args: argparse.Namespace):
         "T_diag_re": np.diag(rep.T).real.tolist(),
         "T_diag_im": np.diag(rep.T).imag.tolist(),
         "signature_mod8": rep.signature,
-        "central_charge_exponent": str(md.central_charge_exponent),
+        "central_charge_exponent": str(lat.level_ell * lat.rank),
         "s4_deviation": rep.s4_deviation,
         "st3_deviation": rep.st3_deviation,
         "charge_conjugation_deviation": rep.s2_is_charge_conjugation,

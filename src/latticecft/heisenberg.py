@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -31,7 +30,7 @@ from .errors import (
     NotIsotropic,
 )
 from .exact import PhaseSum
-from .lattices import DiscriminantGroup
+from .lattices import DENSE_ENTRY_BUDGET, DiscriminantGroup, _within_budget
 from .surfaces import IntersectionForm, Surface
 
 Coords = tuple[tuple[int, ...], ...]
@@ -190,8 +189,10 @@ class UnitaryRep:
                           f"{self.description} (+) {other.description}", self.chi)
 
     def to_json(self) -> dict:
+        elements = self.generator_elements()
+        _within_budget(len(elements) * self.dimension ** 2, "the generator matrices")
         gens = []
-        for g in self.generator_elements():
+        for g in elements:
             m = self.matrix(g)
             gens.append({
                 "element": {"coords": [list(c) for c in g.X],
@@ -224,13 +225,18 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     for d in disc.invariant_factors:
         if gcd(chi, d) != 1:
             raise ValueError(f"central exponent {chi} degenerates on Z/{d}")
+    # |A|^g basis points of g coordinates each; past the budget's bit length
+    # any |A| > 1 is over it, so the power is never formed large
+    _within_budget(genus * disc.order ** min(genus, DENSE_ENTRY_BUDGET.bit_length()),
+                   f"the genus-{genus} Schroedinger basis")
     form = IntersectionForm.closed_genus(disc, genus)
     a_elements = [a.coords for a in disc.elements()]
     basis = [tuple(t) for t in itertools.product(a_elements, repeat=genus)]
     index = {t: i for i, t in enumerate(basis)}
-    blin = disc.bilinear_coords
+    blin = disc._bilinear_scaled
     sub = disc.neg_coords
     add = disc.add_coords
+    n = disc.exponent
 
     def mono(x: Coords):
         xa = x[0::2]
@@ -240,10 +246,8 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
         for t in basis:
             shifted = tuple(add(ti, sub(bi)) for ti, bi in zip(t, xb))
             perm.append(index[shifted])
-            alpha = Fraction(0)
-            for ai, si in zip(xa, shifted):
-                alpha += blin(ai, si)
-            phases.append((chi * alpha) % 1)
+            alpha = sum(blin(ai, si) for ai, si in zip(xa, shifted))
+            phases.append(Fraction(chi * alpha % n, n))
         return tuple(perm), tuple(phases)
 
     # traces vanish off the a-cycle span: any b-shift moves every basis point
@@ -464,19 +468,23 @@ def induce_from_isotropic(form: IntersectionForm, generators,
         return tuple(perm), tuple(phases)
 
     members = set(subgroup)
-    chi_float = {b: float(v) for b, v in table.items()}
-    psi_f = form.cocycle_float
-    tau = 2.0 * math.pi
+    big_n, width = disc.exponent, form.rank * len(disc.invariant_factors)
+    roots = np.exp(2j * np.pi * (np.arange(big_n) / big_n))
+    # N S(x, y) = x (J kron bilinear_int) y mod N; the left half is formed
+    # once per coset representative
+    pairing = np.kron(np.array(form.J, dtype=np.int64).reshape(form.rank, form.rank),
+                      disc.bilinear_int)
+    rows = np.array(reps, dtype=np.int64).reshape(n, width) @ pairing % big_n
 
     def trace_fast(y: Coords) -> complex:
         # cosets are permuted freely unless y lies in the subgroup, where
-        # every coset is fixed with b = y
+        # every coset is fixed with b = y and the trace is
+        # e(-chi(y)) sum_t e(S(r_t, y)), S(r_t, y) = c(r_t, y) - c(y, r_t)
         if y not in members:
             return 0j
-        acc = 0j
-        for rt in reps:
-            acc += cmath.exp(1j * tau * (psi_f(rt, y) - psi_f(y, rt)))
-        return acc * cmath.exp(-1j * tau * chi_float[y])
+        pairings = rows @ np.array(y, dtype=np.int64).reshape(width) % big_n
+        phase = cmath.exp(-2j * cmath.pi * float(table[y]))
+        return complex(roots[pairings].sum()) * phase
 
     return UnitaryRep(form, n, mono, list(subgroup),
                       f"induced(|B|={len(subgroup)}, dim={n})",

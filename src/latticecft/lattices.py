@@ -1,11 +1,12 @@
 """Even positive definite lattices and their discriminant groups.
 
-All arithmetic is exact: Gram data are Python ints, the discriminant
-bilinear form is stored as rationals mod 1 and the quadratic form as
-rationals mod 2.  The discriminant group A is always presented in
-invariant-factor coordinates fixed once per lattice by a Smith normal
-form of the Gram matrix, so element iteration and all derived matrices
-are deterministic.
+All arithmetic is exact: Gram data are Python ints, and the discriminant
+forms are stored once, as integer tables scaled by the exponent N of A
+(N b mod N and N q mod 2N on generators); their rational values mod 1
+and mod 2 are read back from those tables.  The discriminant group A is
+always presented in invariant-factor coordinates fixed once per lattice
+by a Smith normal form of the Gram matrix, so element iteration and all
+derived matrices are deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -197,7 +199,9 @@ class DiscriminantGroup:
 
     Coordinates: A = prod Z/d_i, d_1 | ... | d_k = N the nontrivial invariant
     factors of the Gram matrix, iterated lexicographically.  On generators
-    `bilinear_int` is N b mod N and `quadratic_int` is N q mod 2N.
+    `bilinear_int` is N b mod N and `quadratic_int` is N q mod 2N; every
+    form value is an integer sum over these tables, and `bilinear_matrix`
+    and `quadratic_diag` are their exact `Fraction` views.
     """
 
     def __init__(self, lattice: EvenLattice):
@@ -215,24 +219,23 @@ class DiscriminantGroup:
             col = [Fraction(uinv[k][i]) for k in range(r)]
             lifts.append(tuple(_solve_fraction(gram, col)))
         self.lift_vectors: tuple[tuple[Fraction, ...], ...] = tuple(lifts)
+        # the forms on generators, scaled by the exponent N to integers
         k = len(keep)
-        bil = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                s = sum(self.lift_vectors[i][t] * uinv[t][keep[j]] for t in range(r))
-                bil[i][j] = s % 1
-        self.bilinear_matrix: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(row) for row in bil)
-        quad = []
-        for i in range(k):
-            s = sum(self.lift_vectors[i][t] * uinv[t][keep[i]] for t in range(r))
-            quad.append(s % 2)
-        self.quadratic_diag: tuple[Fraction, ...] = tuple(quad)
         n = self.exponent = max(self.invariant_factors, default=1)
+
+        def scaled(i, j):  # N times the pairing of lift i with generator j
+            return int(n * sum(lifts[i][t] * uinv[t][keep[j]] for t in range(r)))
+
+        bil = [[scaled(i, j) % n for j in range(k)] for i in range(k)]
+        quad = [scaled(i, i) % (2 * n) for i in range(k)]
         dtype = np.int64 if n <= DENSE_ENTRY_BUDGET else object  # such |A| build no table
-        self.bilinear_int = np.array([[int(x * n) for x in row] for row in bil],
-                                     dtype=dtype).reshape(k, k)
-        self.quadratic_int = np.array([int(x * n) for x in quad], dtype=dtype)
+        self.bilinear_int = np.array(bil, dtype=dtype).reshape(k, k)
+        self.quadratic_int = np.array(quad, dtype=dtype)
+        self._bil_rows = bil  # the same table as Python ints, for per-element sums
+        # exact views of the same tables: b mod 1 and q mod 2
+        self.bilinear_matrix: tuple[tuple[Fraction, ...], ...] = tuple(
+            tuple(Fraction(m, n) for m in row) for row in bil)
+        self.quadratic_diag: tuple[Fraction, ...] = tuple(Fraction(m, n) for m in quad)
 
     # -- elements ---------------------------------------------------------
 
@@ -293,25 +296,26 @@ class DiscriminantGroup:
         return self.bilinear_coords(a.coords, b.coords)
 
     def bilinear_coords(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        s = Fraction(0)
-        for i, x in enumerate(a):
+        return Fraction(self._bilinear_scaled(a, b), self.exponent)
+
+    def _bilinear_scaled(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        """N b(a, b) mod N, N the exponent.  Private like the other
+        per-element sums: perfbench/tracer.py times each public method
+        call as a span."""
+        s = 0
+        for x, row in zip(a, self._bil_rows):
             if x:
-                row = self.bilinear_matrix[i]
-                for j, y in enumerate(b):
-                    if y:
-                        s += x * y * row[j]
-        return s % 1
+                s += x * sum(map(operator.mul, row, b))
+        return s % self.exponent
 
     def quadratic(self, a: GroupElement) -> Fraction:
-        c = a.coords
-        s = Fraction(0)
+        """q(a) mod 2, from N q(a) = sum_i a_i^2 N q_i + 2 sum_(i<j) a_i a_j N b_ij."""
+        c, rows, s = a.coords, self._bil_rows, 0
         for i, x in enumerate(c):
             if x:
-                s += x * x * self.quadratic_diag[i]
-                for j in range(i + 1, len(c)):
-                    if c[j]:
-                        s += 2 * x * c[j] * self.bilinear_matrix[i][j]
-        return s % 2
+                s += x * (x * int(self.quadratic_int[i])
+                          + 2 * sum(map(operator.mul, rows[i][i + 1:], c[i + 1:])))
+        return Fraction(s % (2 * self.exponent), self.exponent)
 
     def quadratic_values(self) -> np.ndarray:
         """N q(a) mod 2N in elements() order; no order x k array is built."""
@@ -321,16 +325,6 @@ class DiscriminantGroup:
             coef = self.quadratic_int[i] if i == j else 2 * self.bilinear_int[i, j]
             out += coef * (axes[i] * axes[j] % two_n) % two_n
         return (out % two_n).reshape(-1)
-
-    def bilinear_float_table(self):
-        """order x order table of float bilinear values, elements in
-        lexicographic order; cached for hot loops."""
-        tab = getattr(self, "_bft", None)
-        if tab is None:
-            els = list(self.elements())
-            tab = [[float(self.bilinear(a, b)) for b in els] for a in els]
-            self._bft = tab
-        return tab
 
     def __repr__(self) -> str:
         return f"DiscriminantGroup(factors={self.invariant_factors})"

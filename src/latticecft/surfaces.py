@@ -201,8 +201,6 @@ class IntersectionForm:
                         j[k][l] = 1
                         j[l][k] = -1
         self.J: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in j)
-        self._pairs = tuple((k, l, j[k][l])
-                            for k in range(n) for l in range(n) if j[k][l])
         self._upper = tuple((k, l) for k in range(n) for l in range(k + 1, n)
                             if j[k][l] == 1)
 
@@ -215,35 +213,20 @@ class IntersectionForm:
         return tuple(z for _ in range(self.rank))
 
     def pairing(self, x, y) -> Fraction:
-        """S(x, y) = sum over slots of intersection number times bilinear."""
-        s = Fraction(0)
-        blin = self.disc.bilinear_coords
-        for k, l, sign in self._pairs:
-            v = blin(x[k], y[l])
-            s += v if sign > 0 else -v
-        return s % 1
+        """S(x, y) = sum over slots of intersection number times bilinear,
+        which is c(x, y) - c(y, x)."""
+        n, c = self.disc.exponent, self._cocycle_scaled
+        return Fraction((c(x, y) - c(y, x)) % n, n)
 
     def cocycle(self, x, y) -> Fraction:
         """Bilinear cocycle c with c(x,y) - c(y,x) = S(x,y); the defining
         2-cocycle of the unitary realizations."""
-        s = Fraction(0)
-        blin = self.disc.bilinear_coords
-        for k, l in self._upper:
-            s += blin(x[k], y[l])
-        return s % 1
+        return Fraction(self._cocycle_scaled(x, y), self.disc.exponent)
 
-    def _float_index(self):
-        cached = getattr(self, "_fidx", None)
-        if cached is None:
-            cached = {a.coords: i for i, a in enumerate(self.disc.elements())}
-            self._fidx = cached
-        return cached
-
-    def cocycle_float(self, x, y) -> float:
-        """Float image of the cocycle; for trace sums, not for exactness."""
-        idx = self._float_index()
-        tab = self.disc.bilinear_float_table()
-        return sum(tab[idx[x[k]]][idx[y[l]]] for k, l in self._upper)
+    def _cocycle_scaled(self, x, y) -> int:
+        """N c(x, y) mod N, N the exponent of A."""
+        blin = self.disc._bilinear_scaled
+        return sum(blin(x[k], y[l]) for k, l in self._upper) % self.disc.exponent
 
     def add(self, x, y):
         add = self.disc.add_coords

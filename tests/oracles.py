@@ -4,7 +4,7 @@ These deliberately avoid the code paths they certify: determinants by
 Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
 raw summation, state counts by explicit enumeration, modular data one
-entry at a time from the `Fraction` forms.
+entry at a time from the lifts and the Gram matrix.
 """
 
 from __future__ import annotations
@@ -198,20 +198,30 @@ def quadrature_loop_pairing(xi_fn, deta_fn, n_points=4096) -> float:
     return float(vals.mean() * 2 * np.pi)
 
 
+def _scaled_lifts(disc):
+    """N times the lift of every element, in elements() order: integer
+    vectors, since N kills A."""
+    n = disc.exponent
+    return [tuple(int(n * x) for x in disc.lift(a)) for a in disc.elements()]
+
+
 def entrywise_s_matrix(disc) -> np.ndarray:
-    """S_ab = exp(-2 pi i b(a, b)) / sqrt|A|, one Fraction form per entry."""
-    els = list(disc.elements())
-    n = disc.order
-    s = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            s[i, j] = np.exp(-2j * np.pi * float(disc.bilinear(a, b)))
-    return s / math.sqrt(n)
+    """S_ab = exp(-2 pi i b(a, b)) / sqrt|A|, one entry at a time, with
+    b(a, b) the Gram pairing of the lifts mod 1."""
+    lifts, gram, n2 = _scaled_lifts(disc), disc.lattice.gram, disc.exponent ** 2
+    s = np.empty((disc.order, disc.order), dtype=complex)
+    for i, ua in enumerate(lifts):
+        for j, ub in enumerate(lifts):
+            b = Fraction(gram_pair(gram, ua, ub), n2) % 1
+            s[i, j] = np.exp(-2j * np.pi * float(b))
+    return s / math.sqrt(disc.order)
 
 
 def entrywise_t_matrix(disc) -> np.ndarray:
-    return np.diag([np.exp(1j * np.pi * float(disc.quadratic(a)))
-                    for a in disc.elements()])
+    """T_a = exp(pi i q(a)), q(a) the Gram norm of the lift mod 2."""
+    gram, n2 = disc.lattice.gram, disc.exponent ** 2
+    return np.diag([np.exp(1j * np.pi * float(Fraction(gram_pair(gram, u, u), n2) % 2))
+                    for u in _scaled_lifts(disc)])
 
 
 def entrywise_charge_conjugation(disc) -> np.ndarray:

@@ -22,6 +22,8 @@ from latticecft.acceptance import (
     criterion_10_determinism,
     run_all,
 )
+from latticecft.blocks import genus1_mcg_rep
+from latticecft.lattices import BUNDLED_GRAMS, discriminant_group, validate_even_lattice
 
 TOL = Tolerances()
 
@@ -77,6 +79,17 @@ class TestSuiteSemantics:
         result = criterion_05_modular(TOL, DEFAULT_SEED,
                                       defects=frozenset({"s_sign_flip"}))
         assert not result.passed
+
+    def test_modular_criterion_reads_library_relations(self):
+        result = criterion_05_modular(TOL, DEFAULT_SEED)
+        for name, gram in BUNDLED_GRAMS.items():
+            rep = genus1_mcg_rep(discriminant_group(validate_even_lattice(gram)))
+            row = result.details[name]
+            assert row["s4"] == rep.s4_deviation, name
+            assert row["st_cubed"] == rep.st3_deviation, name
+            assert row["charge_conjugation"] == rep.s2_is_charge_conjugation, name
+            assert row["unitarity"] == rep.unitarity_deviation, name
+            assert row["sigma"] == rep.signature, name
 
     def test_zero_tolerance_fails_numerical_passes_exact(self):
         results = run_all(seed=DEFAULT_SEED, tolerance=0.0)

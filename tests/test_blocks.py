@@ -11,6 +11,7 @@ from latticecft.blocks import (
     fusion_rules,
     genus1_mcg_rep,
     modular_data,
+    modular_relations,
     s_matrix,
     t_matrix,
     verify_factorization,
@@ -22,6 +23,7 @@ from latticecft.heisenberg import schroedinger_irrep
 from latticecft.lattices import (
     E8_GRAM,
     discriminant_group,
+    signature_mod8,
     validate_even_lattice,
 )
 from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
@@ -193,6 +195,21 @@ class TestModularData:
         assert rep2.signature == 1
         rep3 = genus1_mcg_rep(z3)
         assert rep3.signature == 2
+
+    def test_relations_of_given_matrices(self, bundled):
+        for name, (lat, disc) in bundled.items():
+            s, t, sigma = s_matrix(disc), t_matrix(disc), signature_mod8(disc)
+            rep = genus1_mcg_rep(disc)
+            same = modular_relations(disc, s, t, sigma)
+            assert (same.s4_deviation, same.st3_deviation, same.s2_is_charge_conjugation,
+                    same.unitarity_deviation) == (
+                rep.s4_deviation, rep.st3_deviation, rep.s2_is_charge_conjugation,
+                rep.unitarity_deviation), name
+            # -S keeps S^2, S^4 and unitarity but breaks (ST)^3 = e(sigma/8) S^2
+            flipped = modular_relations(disc, -s, t, sigma)
+            assert flipped.st3_deviation > 1.0 and not flipped.ok, name
+            assert max(flipped.s4_deviation, flipped.s2_is_charge_conjugation,
+                       flipped.unitarity_deviation) < 1e-9, name
 
     def test_framed_t_gives_plain_sl2z(self, bundled):
         for name, (lat, disc) in bundled.items():

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+from latticecft import blocks
+from latticecft.blocks import s_matrix
 from latticecft.cli import render_report, run
 
 A2 = "[[2,1],[1,2]]"
@@ -110,6 +112,18 @@ class TestModular:
         assert rep["results"]["signature_mod8"] == 2
         assert rep["results"]["central_charge_exponent"] == "2"
 
+    def test_builds_s_once(self, monkeypatch):
+        calls = []
+
+        def counting_s_matrix(disc):
+            calls.append(disc.order)
+            return s_matrix(disc)
+
+        monkeypatch.setattr(blocks, "s_matrix", counting_s_matrix)
+        code, _ = invoke(["modular", "--lattice", "[[12]]"])
+        assert code == 0
+        assert calls == [12]
+
 
 class TestVerlinde:
     def test_sphere(self):
@@ -192,6 +206,13 @@ class TestHeisenberg:
         assert res["dimension"] == 2
         assert len(res["generators"]) == 2
 
+    def test_genus_12_is_refused(self):
+        # 24 generator matrices of size 4096^2, over the dense-entry budget
+        proc = invoke_process(["heisenberg", "--lattice", "[[2]]", "--genus", "12"])
+        assert proc.returncode == 2
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["error_kind"] == "GroupTooLarge"
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self):
@@ -211,6 +232,18 @@ class TestDeterminism:
         assert proc.returncode == 0
         data = json.loads(out.read_text())
         assert data["results"]["order"] == 2
+
+
+class TestGoldenReports:
+    def test_reports_unchanged(self):
+        # pairs of lines: the argv as JSON, then its report bytes
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                            "reports.txt")
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert len(lines) == 10
+        for argv_line, report in zip(lines[0::2], lines[1::2]):
+            assert render_report(json.loads(argv_line)) == report, argv_line
 
 
 class TestExitCodes:

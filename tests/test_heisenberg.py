@@ -35,7 +35,7 @@ from latticecft.heisenberg import (
     subgroup_closure,
     verify_irreducible,
 )
-from latticecft.lattices import discriminant_group, validate_even_lattice
+from latticecft.lattices import E8_GRAM, discriminant_group, validate_even_lattice
 from latticecft.surfaces import IntersectionForm, Surface, intersection_matrix
 
 
@@ -296,6 +296,26 @@ class TestInduction:
                 assert table[form.add(x, y)] == \
                     (table[x] + table[y] + form.cocycle(x, y)) % 1
 
+    @pytest.mark.parametrize("gram, genus", [([[4]], 1), ([[2, 1], [1, 2]], 1),
+                                             ([[2, 0], [0, 4]], 1), ([[2]], 2)])
+    def test_trace_matches_matrix_trace(self, gram, genus):
+        # the table-lookup trace against the trace of the monomial matrix,
+        # for every Lagrangian and every element of H1
+        disc = disc_of(gram)
+        form = IntersectionForm.closed_genus(disc, genus)
+        for gens in standard_lagrangians(disc, genus).values():
+            rep = induce_from_isotropic(form, gens)
+            for x in enumerate_h1(form):
+                want = complex(np.trace(rep.matrix(x)))
+                assert abs(rep.trace_complex(x) - want) < 1e-9, x
+
+    def test_trace_with_assigned_splitting(self, z4):
+        form = IntersectionForm.closed_genus(z4, 1)
+        rep = induce_from_isotropic(form, [((1,), (0,))],
+                                    splitting={((1,), (0,)): Fraction(1, 4)})
+        for x in enumerate_h1(form):
+            assert abs(rep.trace_complex(x) - complex(np.trace(rep.matrix(x)))) < 1e-9
+
     def test_character_of_induced_is_multiple_of_delta(self, z4):
         # dec-ind at a glance: induced character = sqrt(|Bperp|/|B|) * schroedinger one
         form = IntersectionForm.closed_genus(z4, 1)
@@ -375,6 +395,17 @@ class TestSubgroupEnumeration:
 
 
 class TestExport:
+    def test_basis_over_budget_is_refused(self, z2):
+        with pytest.raises(GroupTooLarge, match="basis"):
+            schroedinger_irrep(z2, 25)
+        with pytest.raises(GroupTooLarge, match="basis"):
+            schroedinger_irrep(disc_of(E8_GRAM), 10 ** 8)
+
+    def test_matrices_over_budget_are_refused(self, z2):
+        rep = schroedinger_irrep(z2, 10)  # 20 generators of size 1024^2
+        with pytest.raises(GroupTooLarge, match="generator matrices"):
+            rep.to_json()
+
     def test_json_shape(self, z2):
         rep = schroedinger_irrep(z2, 1)
         data = rep.to_json()

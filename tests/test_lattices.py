@@ -114,6 +114,22 @@ def small_even_lattices():
         .map(build).filter(lambda g: g is not None))
 
 
+def assert_forms_match_lifts(gram, sample=64):
+    """b and q, read from the integer tables, equal the Gram pairing and
+    norm of the lifts mod 1 and mod 2, on all pairs of a fixed random
+    sample of elements."""
+    lat = validate_even_lattice(gram)
+    disc = discriminant_group(lat)
+    elements = list(disc.elements())
+    if len(elements) > sample:
+        elements = random.Random(disc.order).sample(elements, sample)
+    lifts = [disc.lift(a) for a in elements]
+    for a, va in zip(elements, lifts):
+        for b, vb in zip(elements, lifts):
+            assert disc.bilinear(a, b) == gram_pair(lat.gram, va, vb) % 1
+        assert disc.quadratic(a) == gram_pair(lat.gram, va, va) % 2
+
+
 class TestDiscriminantGroup:
     def test_z2_from_coset_oracle(self):
         lat = validate_even_lattice([[2]])
@@ -145,15 +161,15 @@ class TestDiscriminantGroup:
                 assert disc.quadratic(a) == 1
 
     def test_lift_vectors_consistent(self):
-        for gram in ([[2]], A2_GRAM, D4_GRAM, ((2, 0), (0, 8))):
-            lat = validate_even_lattice(gram)
-            disc = discriminant_group(lat)
-            for a in disc.elements():
-                va = disc.lift(a)
-                for b in disc.elements():
-                    vb = disc.lift(b)
-                    assert disc.bilinear(a, b) == gram_pair(lat.gram, va, vb) % 1
-                assert disc.quadratic(a) == gram_pair(lat.gram, va, va) % 2
+        for gram in ([[2]], A2_GRAM, D4_GRAM, ((2, 0), (0, 8)),
+                     ((2, 0, 0), (0, 6, 0), (0, 0, 12)), ((4, 2), (2, 36)),
+                     ((6, 0, 0), (0, 6, 0), (0, 0, 6))):
+            assert_forms_match_lifts(gram)
+
+    @given(small_even_lattices())
+    @settings(max_examples=20, deadline=None)
+    def test_lift_vectors_consistent_sweep(self, gram):
+        assert_forms_match_lifts(gram)
 
     @given(small_even_lattices())
     @settings(max_examples=40, deadline=None)
