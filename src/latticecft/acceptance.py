@@ -241,11 +241,12 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
         if disc.order > 8:
             continue
         form = IntersectionForm.closed_genus(disc, 1)
+        elements, zero = heisenberg.enumerate_h1(form), form.zero()
         subgroups = heisenberg.isotropic_subgroups(form)
         n_checked = 0
         for sub in subgroups:
             rep = heisenberg.induce_from_isotropic(form, sub)
-            perp = [x for x in heisenberg.enumerate_h1(form)
+            perp = [x for x in elements
                     if all(form.pairing(x, b) == 0 for b in sub)]
             mult = math.isqrt(len(perp) // len(sub))
             if mult * len(sub) != disc.order or mult * mult * len(sub) != len(perp):
@@ -253,9 +254,9 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
             expected_dim = mult * disc.order
             if rep.dimension != expected_dim:
                 ok = False
-            for x in heisenberg.enumerate_h1(form):
+            for x in elements:
                 tr = rep.trace_phase_sum(x)
-                if x == form.zero():
+                if x == zero:
                     want = PhaseSum()
                     want.add(Fraction(0), expected_dim)
                     if not (tr == want):

@@ -270,6 +270,8 @@ def _cmd_accept(args: argparse.Namespace):
 
 
 def _jsonable(obj):
+    if type(obj) in (float, int, str):  # most entries of a large report
+        return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -7,18 +7,25 @@ pairing S.  Unitary realizations are monomial (permutation times phase)
 matrices built from the fixed bilinear cocycle c of the intersection
 form, which antisymmetrizes to S; on 2-torsion this distinction matters,
 since the commutator of the (X, phase) product is 2S while the commutant
-structure of the representations is governed by S itself.  All
-representation bookkeeping is exact; floats appear only when matrices or
-traces are materialized.
+structure of the representations is governed by S itself.
+
+Representations compute on one integer grid: an element of H1(S; A) is a
+row of rank * k ints (k invariant factors per slot), and its position is
+the mixed-radix index of that row, which is its place in `enumerate_h1`.
+Each representation holds one integer monomial map from such a row to a
+permutation array and a phase array mod M; `monomial` reads it back as
+exact tuples and `Fraction`s.  Floats appear only in `matrix`,
+`trace_complex` and the commutant and intertwiner dimensions built on
+them.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -81,14 +88,15 @@ def center(disc: DiscriminantGroup, surface: Surface) -> CenterDescription:
     form = IntersectionForm(surface, disc)
     slots = tuple(i for i, slot in enumerate(form.basis.slots)
                   if slot.kind == "boundary")
-    gens = []
+    gens = tuple(HeisenbergElement.pure(x) for x in _units(form, slots))
+    return CenterDescription(boundary_slots=slots, generators=gens)
+
+
+def _units(form: IntersectionForm, slots) -> list[Coords]:
+    """Each generator of A in each given slot, zero in the others."""
     zero = form.zero()
-    for k in slots:
-        for g in disc.generators():
-            x = list(zero)
-            x[k] = g.coords
-            gens.append(HeisenbergElement.pure(tuple(x)))
-    return CenterDescription(boundary_slots=slots, generators=tuple(gens))
+    return [zero[:k] + (g.coords,) + zero[k + 1:]
+            for k in slots for g in form.disc.generators()]
 
 
 def enumerate_h1(form: IntersectionForm, limit: int = 10 ** 6) -> list[Coords]:
@@ -98,6 +106,41 @@ def enumerate_h1(form: IntersectionForm, limit: int = 10 ** 6) -> list[Coords]:
     if total > limit:
         raise GroupTooLarge(f"{total} elements")
     return [tuple(x) for x in itertools.product(*per_slot)]
+
+
+# ---------------------------------------------------------------------------
+# the integer grid
+
+
+class _Grid:
+    """`slots` copies of A as rows of slots * k ints.  A row's position is
+    its mixed-radix index, the lexicographic order of `enumerate_h1`."""
+
+    def __init__(self, disc: DiscriminantGroup, slots: int, limit: int = 2 ** 62):
+        self.size = disc.order ** slots
+        if self.size > limit:
+            raise GroupTooLarge(f"{self.size} elements")
+        radices = disc.invariant_factors * slots
+        self.slots, self.k = slots, len(disc.invariant_factors)
+        self.radices = np.array(radices, dtype=np.int64)
+        self.strides = np.array([math.prod(radices[j + 1:]) for j in range(len(radices))],
+                                dtype=np.int64)
+
+    def index(self, rows) -> np.ndarray:
+        """Positions of rows (last axis), reduced mod the radices."""
+        return (rows % self.radices) @ self.strides
+
+    def rows(self, index) -> np.ndarray:
+        return np.asarray(index)[..., None] // self.strides % self.radices
+
+    def coords(self, rows) -> list[Coords]:
+        k = self.k
+        return [tuple(tuple(r[s * k:(s + 1) * k]) for s in range(self.slots))
+                for r in rows.tolist()]
+
+
+def _row(x: Coords) -> np.ndarray:
+    return np.array([c for a in x for c in a], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +154,30 @@ class UnitaryRep:
     (rho(X) f)(t) = e^(2 pi i alpha_X(t)) f(m_X(t)); matrices satisfy
     rho(X) rho(Y) = e^(2 pi i chi c(X,Y)) rho(X + Y) with c the bilinear
     cocycle of the intersection form and chi the central exponent.
+
+    One integer map carries the representation: `monomial_fn` takes X as
+    a grid row and returns m_X as an int array and M alpha_X mod M as an
+    int array, M = `modulus`.  `monomial` is its exact reading;
+    `matrix` and `trace_complex` are its only float views.  Every X off
+    `support` moves every basis point, so its trace is exactly zero.
     """
 
     def __init__(self, form: IntersectionForm, dimension: int, monomial_fn,
-                 support: list[Coords] | None, description: str, chi: int = 1,
-                 trace_fn=None):
+                 modulus: int, support: list[Coords], description: str,
+                 chi: int = 1):
         self.form = form
         self.dimension = dimension
         self._monomial = monomial_fn
+        self.modulus = modulus
         self.support = support
         self.description = description
         self.chi = chi
-        self._trace_fn = trace_fn
 
     # monomial data: permutation m and phases alpha, exact
     def monomial(self, x: Coords):
-        return self._monomial(x)
+        perm, alpha = self._monomial(_row(x))
+        m = self.modulus
+        return tuple(perm.tolist()), tuple(Fraction(a, m) for a in alpha.tolist())
 
     def cocycle(self, x: Coords, y: Coords) -> Fraction:
         return (self.chi * self.form.cocycle(x, y)) % 1
@@ -134,58 +185,57 @@ class UnitaryRep:
     def central_character(self, phase: Fraction) -> Fraction:
         return (self.chi * phase) % 1
 
+    def _roots(self, alpha: np.ndarray, extra: float = 0.0) -> np.ndarray:
+        """e^(2 pi i (a / M + extra)) for each a in alpha, one scalar
+        evaluation of the exact phase per distinct residue."""
+        residues, inverse = np.unique(alpha, return_inverse=True)
+        m = self.modulus
+        table = np.array([cmath.exp(2j * cmath.pi * (float(Fraction(a, m)) + extra))
+                          for a in residues.tolist()], dtype=complex)
+        return table[inverse]
+
     def matrix(self, x: HeisenbergElement | Coords) -> np.ndarray:
         if isinstance(x, HeisenbergElement):
             coords, phase = x.X, x.phase
         else:
             coords, phase = x, Fraction(0)
-        perm, phases = self._monomial(coords)
+        perm, alpha = self._monomial(_row(coords))
         n = self.dimension
         m = np.zeros((n, n), dtype=complex)
-        extra = float(self.central_character(phase))
-        for t in range(n):
-            m[t, perm[t]] = cmath.exp(2j * cmath.pi * (float(phases[t]) + extra))
+        m[np.arange(n), perm] = self._roots(alpha, float(self.central_character(phase)))
         return m
 
+    def _fixed_phases(self, x: Coords) -> np.ndarray:
+        """M alpha_x(t) at the basis points t that x fixes."""
+        perm, alpha = self._monomial(_row(x))
+        return alpha[perm == np.arange(self.dimension)]
+
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        perm, phases = self._monomial(x)
         out = PhaseSum()
-        for t in range(self.dimension):
-            if perm[t] == t:
-                out.add(phases[t])
+        residues, counts = np.unique(self._fixed_phases(x), return_counts=True)
+        for a, c in zip(residues.tolist(), counts.tolist()):
+            out.add(Fraction(a, self.modulus), c)
         return out
 
     def trace_complex(self, x: Coords) -> complex:
-        if self._trace_fn is not None:
-            return self._trace_fn(x)
-        perm, phases = self._monomial(x)
-        return sum(cmath.exp(2j * cmath.pi * float(phases[t]))
-                   for t in range(self.dimension) if perm[t] == t)
+        return complex(self._roots(self._fixed_phases(x)).sum())
 
     def generator_elements(self) -> list[HeisenbergElement]:
-        gens = []
-        zero = self.form.zero()
-        for k in range(self.form.rank):
-            for g in self.form.disc.generators():
-                x = list(zero)
-                x[k] = g.coords
-                gens.append(HeisenbergElement.pure(tuple(x)))
-        return gens
+        return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
 
     def direct_sum(self, other: "UnitaryRep") -> "UnitaryRep":
         if other.form is not self.form or other.chi != self.chi:
             raise DimensionMismatch("direct sum needs matching form and center")
-        n1 = self.dimension
+        n1, m = self.dimension, math.lcm(self.modulus, other.modulus)
 
-        def mono(x):
-            p1, a1 = self._monomial(x)
-            p2, a2 = other._monomial(x)
-            return (tuple(p1) + tuple(q + n1 for q in p2), tuple(a1) + tuple(a2))
+        def mono(y):
+            p1, a1 = self._monomial(y)
+            p2, a2 = other._monomial(y)
+            return (np.concatenate([p1, p2 + n1]),
+                    np.concatenate([a1 * (m // self.modulus), a2 * (m // other.modulus)]))
 
-        support = None
-        if self.support is not None and other.support is not None:
-            support = sorted(set(self.support) | set(other.support))
-        return UnitaryRep(self.form, n1 + other.dimension, mono, support,
+        support = sorted(set(self.support) | set(other.support))
+        return UnitaryRep(self.form, n1 + other.dimension, mono, m, support,
                           f"{self.description} (+) {other.description}", self.chi)
 
     def to_json(self) -> dict:
@@ -197,8 +247,8 @@ class UnitaryRep:
             gens.append({
                 "element": {"coords": [list(c) for c in g.X],
                             "phase": str(g.phase)},
-                "matrix_re": [[float(v.real) for v in row] for row in m],
-                "matrix_im": [[float(v.imag) for v in row] for row in m],
+                "matrix_re": m.real.tolist(),
+                "matrix_im": m.imag.tolist(),
             })
         return {"dimension": self.dimension, "generators": gens}
 
@@ -223,108 +273,87 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     else:
         genus = int(genus_or_surface)
     for d in disc.invariant_factors:
-        if gcd(chi, d) != 1:
+        if math.gcd(chi, d) != 1:
             raise ValueError(f"central exponent {chi} degenerates on Z/{d}")
     # |A|^g basis points of g coordinates each; past the budget's bit length
     # any |A| > 1 is over it, so the power is never formed large
     _within_budget(genus * disc.order ** min(genus, DENSE_ENTRY_BUDGET.bit_length()),
                    f"the genus-{genus} Schroedinger basis")
     form = IntersectionForm.closed_genus(disc, genus)
-    a_elements = [a.coords for a in disc.elements()]
-    basis = [tuple(t) for t in itertools.product(a_elements, repeat=genus)]
-    index = {t: i for i, t in enumerate(basis)}
-    blin = disc._bilinear_scaled
-    sub = disc.neg_coords
-    add = disc.add_coords
-    n = disc.exponent
+    basis = _Grid(disc, genus)
+    dim, k, n = basis.size, basis.k, disc.exponent
+    points = basis.rows(np.arange(dim))
+    table, chi_n = disc.bilinear_int, chi % n
 
-    def mono(x: Coords):
-        xa = x[0::2]
-        xb = x[1::2]
-        perm = []
-        phases = []
-        for t in basis:
-            shifted = tuple(add(ti, sub(bi)) for ti, bi in zip(t, xb))
-            perm.append(index[shifted])
-            alpha = sum(blin(ai, si) for ai, si in zip(xa, shifted))
-            phases.append(Fraction(chi * alpha % n, n))
-        return tuple(perm), tuple(phases)
+    def mono(y):
+        xa, xb = y.reshape(genus, 2, k).transpose(1, 0, 2)
+        shifted = (points - xb.reshape(-1)) % basis.radices
+        pairing = (xa @ table % n).reshape(-1)  # N b(x_a, .) slot by slot
+        return basis.index(shifted), shifted @ pairing % n * chi_n % n
 
     # traces vanish off the a-cycle span: any b-shift moves every basis point
-    zero = disc.zero.coords
-    support = []
-    for xa in itertools.product(a_elements, repeat=genus):
-        x = [zero] * (2 * genus)
-        x[0::2] = list(xa)
-        support.append(tuple(x))
-    dim = len(basis)
-    zero_x = form.zero()
-
-    def trace_fast(x: Coords) -> complex:
-        # per-slot character sums factor the trace into |A|^g delta_{x,0}
-        return complex(dim) if x == zero_x else 0j
-
-    return UnitaryRep(form, dim, mono, support,
-                      f"schroedinger(genus={genus}, |A|={disc.order})", chi,
-                      trace_fn=trace_fast)
+    span = np.zeros((dim, genus, 2, k), dtype=np.int64)
+    span[:, :, 0] = points.reshape(dim, genus, k)
+    support = _Grid(disc, 2 * genus).coords(span.reshape(dim, -1))
+    return UnitaryRep(form, dim, mono, n, support,
+                      f"schroedinger(genus={genus}, |A|={disc.order})", chi)
 
 
 # ---------------------------------------------------------------------------
 # subgroups, splittings, induction
 
 
+def _extend_subgroup(grid: _Grid, subgroup: frozenset, x: int) -> frozenset:
+    """<H, x> for a subgroup H of an abelian group, as grid positions: the
+    union of the cosets j*x + H."""
+    rows = grid.rows(list(subgroup))
+    out = set(subgroup)
+    step = acc = grid.rows(x)
+    while int(grid.index(acc)) not in subgroup:
+        out.update(grid.index(acc + rows).tolist())
+        acc = (acc + step) % grid.radices
+    return frozenset(out)
+
+
+def _closure(grid: _Grid, generators) -> np.ndarray:
+    """Sorted grid positions of the subgroup the generator coords span."""
+    sub = frozenset({0})
+    for g in generators:
+        g = g.X if isinstance(g, HeisenbergElement) else g
+        sub = _extend_subgroup(grid, sub, int(grid.index(_row(g))))
+    return np.array(sorted(sub), dtype=np.int64)
+
+
 def subgroup_closure(form: IntersectionForm, generators) -> list[Coords]:
     """Subgroup of H1(S; A) generated by the given elements, sorted."""
-    zero = form.zero()
-    seen = {zero}
-    frontier = [zero]
-    gens = [g.X if isinstance(g, HeisenbergElement) else tuple(g)
-            for g in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = form.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    grid = _Grid(form.disc, form.rank)
+    return grid.coords(grid.rows(_closure(grid, generators)))
 
 
 def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
     return all(form.pairing(x, y) == 0 for x in subgroup for y in subgroup)
 
 
-def _extend_subgroup(form: IntersectionForm, subgroup: frozenset, x: Coords):
-    """<H, x> for a subgroup H of an abelian group: union of the cosets
-    j*x + H."""
-    out = set(subgroup)
-    acc = x
-    while acc not in subgroup:
-        out.update(form.add(acc, h) for h in subgroup)
-        acc = form.add(acc, x)
-    return frozenset(out)
-
-
 def enumerate_subgroups(form: IntersectionForm,
                         limit: int = 4096) -> list[list[Coords]]:
     """All subgroups of H1(S; A), each as a sorted element list."""
-    elements = enumerate_h1(form, limit=limit)
-    trivial = frozenset({form.zero()})
+    grid = _Grid(form.disc, form.rank, limit)
+    trivial = frozenset({0})
     seen = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            for x in elements:
+            for x in range(grid.size):
                 if x not in sub:
-                    bigger = _extend_subgroup(form, sub, x)
+                    bigger = _extend_subgroup(grid, sub, x)
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
         frontier = nxt
-    return sorted((sorted(sub) for sub in seen), key=lambda s: (len(s), s))
+    # positions sort like the coordinates they index
+    return [grid.coords(grid.rows(sub)) for sub in
+            sorted((sorted(sub) for sub in seen), key=lambda s: (len(s), s))]
 
 
 def isotropic_subgroups(form: IntersectionForm,
@@ -362,14 +391,13 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
                     f"value {assigned[x]} for {x} contradicts the values "
                     f"already forced by earlier generators")
             continue
-        # order of x modulo the part already covered
-        k = 1
-        acc = x
+        # order k of x modulo the part already covered, and the wrap phase
+        # sum_(0<j<k) psi(j x, x)
+        k, acc, wrap = 1, x, Fraction(0)
         while acc not in table:
+            wrap += psi(acc, x)
             acc = form.add(acc, x)
             k += 1
-        wrap = sum((psi(_multiple(form, x, j), x) for j in range(1, k)),
-                   Fraction(0))
         need = (table[acc] - wrap) % 1  # acc = k*x, already assigned
         value = Fraction(need.numerator, need.denominator * k)
         if assigned and x in assigned:
@@ -392,13 +420,6 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
     return table
 
 
-def _multiple(form: IntersectionForm, x: Coords, j: int) -> Coords:
-    acc = form.zero()
-    for _ in range(j):
-        acc = form.add(acc, x)
-    return acc
-
-
 def validate_splitting(form: IntersectionForm, subgroup: list[Coords],
                        table: dict[Coords, Fraction], chi: int = 1) -> None:
     for x in subgroup:
@@ -416,7 +437,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     """Representation induced from an isotropic subgroup B with splitting.
 
     Functions on the coset space B\\H1 carry the action
-    (rho(Y, p) f)(t) = e^(2 pi i (p + c(r_t, Y) + chi(b) + c(b, r_t')))
+    (rho(Y, p) f)(t) = e^(2 pi i (p + c(r_t, Y) - chi(b) - c(b, r_t')))
     f(t') where r_t + Y = b + r_t'.  Dimension |H1| / |B|.
     """
     disc = form.disc
@@ -425,7 +446,9 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     # the pairing is bilinear, so generator pairs decide isotropy
     if not all(form.pairing(g1, g2) == 0 for g1 in gens for g2 in gens):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
-    subgroup = subgroup_closure(form, gens)
+    grid = _Grid(disc, form.rank, limit=10 ** 6)
+    members = _closure(grid, gens)
+    subgroup = grid.coords(grid.rows(members))
     if splitting is None:
         table = canonical_splitting(form, subgroup)
     elif set(splitting) >= set(subgroup):
@@ -436,59 +459,38 @@ def induce_from_isotropic(form: IntersectionForm, generators,
                                     assigned={k: Fraction(v) % 1
                                               for k, v in splitting.items()})
         validate_splitting(form, subgroup, table)
+    # 2-torsion gives splitting values finer than 1/N
+    n = disc.exponent
+    big_m = math.lcm(n, *(table[b].denominator for b in subgroup))
+    chi_m = np.array([table[b].numerator * (big_m // table[b].denominator)
+                      for b in subgroup], dtype=np.int64)
 
-    elements = enumerate_h1(form)
-    index = {x: i for i, x in enumerate(elements)}
-    coset_of = [-1] * len(elements)
-    reps: list[Coords] = []
-    for i, x in enumerate(elements):
-        if coset_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(x)  # lexicographically least in its coset
-        for b in subgroup:
-            coset_of[index[form.add(x, b)]] = cid
-    n = len(reps)
-    psi = form.cocycle
-    sub = form.neg
+    # one pass over the grid labels the cosets; each representative is the
+    # least element of its coset
+    b_rows = grid.rows(members)
+    label = np.full(grid.size, -1, dtype=np.int64)
+    reps = []
+    for i in range(grid.size):
+        if label[i] < 0:
+            label[grid.index(grid.rows(i) + b_rows)] = len(reps)
+            reps.append(i)
+    r = grid.rows(reps)
+    cocycle = np.kron(np.array(form.J, dtype=np.int64).reshape(form.rank, form.rank) == 1,
+                      disc.bilinear_int)  # N c(x, y) = x cocycle y mod N
+    left, right = r @ cocycle % n, r @ cocycle.T % n
 
-    def mono(y: Coords):
+    def mono(y):
         # sections invariant under the lifted subgroup satisfy
         # F(b + x) = e^(-2 pi i (chi(b) + c(b, x))) F(x)
-        perm = []
-        phases = []
-        for t in range(n):
-            rt = reps[t]
-            x = form.add(rt, y)
-            t2 = coset_of[index[x]]
-            b = form.add(x, sub(reps[t2]))
-            alpha = (psi(rt, y) - table[b] - psi(b, reps[t2])) % 1
-            perm.append(t2)
-            phases.append(alpha)
-        return tuple(perm), tuple(phases)
+        x = r + y
+        t2 = label[grid.index(x)]
+        b = x - r[t2]
+        c = (left @ y - np.einsum("ij,ij->i", b, right[t2])) % n
+        chi_b = chi_m[np.searchsorted(members, grid.index(b))]
+        return t2, (c * (big_m // n) - chi_b) % big_m
 
-    members = set(subgroup)
-    big_n, width = disc.exponent, form.rank * len(disc.invariant_factors)
-    roots = np.exp(2j * np.pi * (np.arange(big_n) / big_n))
-    # N S(x, y) = x (J kron bilinear_int) y mod N; the left half is formed
-    # once per coset representative
-    pairing = np.kron(np.array(form.J, dtype=np.int64).reshape(form.rank, form.rank),
-                      disc.bilinear_int)
-    rows = np.array(reps, dtype=np.int64).reshape(n, width) @ pairing % big_n
-
-    def trace_fast(y: Coords) -> complex:
-        # cosets are permuted freely unless y lies in the subgroup, where
-        # every coset is fixed with b = y and the trace is
-        # e(-chi(y)) sum_t e(S(r_t, y)), S(r_t, y) = c(r_t, y) - c(y, r_t)
-        if y not in members:
-            return 0j
-        pairings = rows @ np.array(y, dtype=np.int64).reshape(width) % big_n
-        phase = cmath.exp(-2j * cmath.pi * float(table[y]))
-        return complex(roots[pairings].sum()) * phase
-
-    return UnitaryRep(form, n, mono, list(subgroup),
-                      f"induced(|B|={len(subgroup)}, dim={n})",
-                      trace_fn=trace_fast)
+    return UnitaryRep(form, len(reps), mono, big_m, subgroup,
+                      f"induced(|B|={len(subgroup)}, dim={len(reps)})")
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +504,8 @@ def commutant_dimension(rep: UnitaryRep) -> float:
     exactly; the sum only runs over the support.
     """
     total_order = rep.form.disc.order ** rep.form.rank
-    support = rep.support
-    if support is None:
-        support = enumerate_h1(rep.form)
     acc = 0.0
-    for x in support:
+    for x in rep.support:
         t = rep.trace_complex(x)
         acc += (t.real * t.real + t.imag * t.imag)
     return acc / total_order
@@ -519,41 +518,28 @@ def verify_irreducible(rep: UnitaryRep) -> bool:
     if total_order > 10 ** 4:
         raise GroupTooLarge(f"group has {total_order} elements")
     if rep.dimension <= 32:
-        dim = _commutant_nullity(rep)
+        dim = explicit_intertwiner(rep, rep)[0]
     else:
         dim = commutant_dimension(rep)
     return abs(dim - 1.0) < 1e-9
 
 
-def _commutant_nullity(rep: UnitaryRep) -> int:
-    n = rep.dimension
-    eye = np.eye(n)
-    blocks = []
-    for g in rep.generator_elements():
-        m = rep.matrix(g)
-        blocks.append(np.kron(eye, m) - np.kron(m.T, eye))
-    if not blocks:
-        return n * n  # trivial group: every matrix commutes
-    system = np.vstack(blocks)
-    sv = np.linalg.svd(system, compute_uv=False)
-    tol = max(system.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
-    return int(np.sum(sv <= max(tol, 1e-10)))
+def _same_group(rep1: UnitaryRep, rep2: UnitaryRep) -> None:
+    """Refuse representations of different Heisenberg groups: the
+    intersection matrices, invariant factors or bilinear forms differ."""
+    f1, f2 = rep1.form, rep2.form
+    if f1 is not f2 and (
+            f1.J != f2.J or f1.disc.invariant_factors != f2.disc.invariant_factors
+            or not np.array_equal(f1.disc.bilinear_int, f2.disc.bilinear_int)):
+        raise DimensionMismatch("representations of different Heisenberg groups")
 
 
 def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> float:
     """dim Hom(rep1, rep2) for same-cocycle reps, by character pairing."""
-    if rep1.form is not rep2.form and rep1.form.rank != rep2.form.rank:
-        raise DimensionMismatch("representations of different groups")
+    _same_group(rep1, rep2)
     total_order = rep1.form.disc.order ** rep1.form.rank
-    supports = []
-    for rep in (rep1, rep2):
-        supports.append(set(rep.support) if rep.support is not None else None)
-    if supports[0] is None or supports[1] is None:
-        xs = enumerate_h1(rep1.form)
-    else:
-        xs = sorted(supports[0] & supports[1])
     acc = 0j
-    for x in xs:
+    for x in sorted(set(rep1.support) & set(rep2.support)):
         acc += rep1.trace_complex(x) * rep2.trace_complex(x).conjugate()
     return abs(acc) / total_order
 
@@ -561,20 +547,23 @@ def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> float:
 def explicit_intertwiner(rep1: UnitaryRep, rep2: UnitaryRep):
     """Nullspace solve for M rho1(x) = rho2(x) M over the generators;
     returns (nullity, M) with M unitary up to scale when nullity is 1."""
+    _same_group(rep1, rep2)
     if rep1.dimension != rep2.dimension:
         return 0, None
     n = rep1.dimension
     eye = np.eye(n)
-    blocks = []
-    for g in rep1.generator_elements():
-        m1 = rep1.matrix(g)
-        m2 = rep2.matrix(g)
-        blocks.append(np.kron(m1.T, eye) - np.kron(eye, m2))
-    if not blocks:
+    gens = rep1.generator_elements()
+    if not gens:
         return n * n, np.eye(n, dtype=complex)  # trivial group
-    system = np.vstack(blocks)
-    u, sv, vh = np.linalg.svd(system)
-    tol = max(system.shape) * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
+    # fold each generator's equations into the square factor R of a QR
+    # decomposition; R has the singular values and right singular vectors
+    # of the whole system, which is never stacked
+    r = np.empty((0, n * n), dtype=complex)
+    for g in gens:
+        block = np.kron(rep1.matrix(g).T, eye) - np.kron(eye, rep2.matrix(g))
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    _, sv, vh = np.linalg.svd(r)
+    tol = len(gens) * n * n * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
     nullity = int(np.sum(sv <= max(tol, 1e-10)))
     if nullity == 0:
         return 0, None
@@ -586,18 +575,7 @@ def standard_lagrangians(disc: DiscriminantGroup, genus: int) -> dict[str, list[
     """Generator sets for three Lagrangians of the closed-genus group:
     the a-cycle span, the b-cycle span and the diagonal."""
     form = IntersectionForm.closed_genus(disc, genus)
-    zero = form.zero()
-    gens_a, gens_b, gens_d = [], [], []
-    for i in range(genus):
-        for g in disc.generators():
-            xa = list(zero)
-            xa[2 * i] = g.coords
-            gens_a.append(tuple(xa))
-            xb = list(zero)
-            xb[2 * i + 1] = g.coords
-            gens_b.append(tuple(xb))
-            xd = list(zero)
-            xd[2 * i] = g.coords
-            xd[2 * i + 1] = g.coords
-            gens_d.append(tuple(xd))
-    return {"a_span": gens_a, "b_span": gens_b, "diagonal": gens_d}
+    gens_a = _units(form, range(0, 2 * genus, 2))
+    gens_b = _units(form, range(1, 2 * genus, 2))
+    return {"a_span": gens_a, "b_span": gens_b,
+            "diagonal": [form.add(a, b) for a, b in zip(gens_a, gens_b)]}

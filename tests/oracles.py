@@ -246,3 +246,75 @@ def pants_fusion_tensor(disc) -> np.ndarray:
                 labels = BlockLabel.from_dict({"p0": a, "p1": b, "p2": c})
                 tensor[i, j, k] = block_dimension(pants, labels, disc)
     return tensor
+
+
+def _h1_elements(disc, slots):
+    """All slot tuples of A-coordinates, lexicographic."""
+    group = list(itertools.product(*(range(d) for d in disc.invariant_factors)))
+    return list(itertools.product(group, repeat=slots))
+
+
+def _h1_add(disc, x, y, sign=1):
+    return tuple(tuple((a + sign * b) % d for a, b, d in zip(xs, ys, disc.invariant_factors))
+                 for xs, ys in zip(x, y))
+
+
+def _h1_cocycle(form, x, y) -> Fraction:
+    """c(x, y): b(x_k, y_l) summed over the slot pairs with J_kl = 1."""
+    n = len(form.J)
+    return sum((form.disc.bilinear_coords(x[k], y[l]) for k in range(n) for l in range(n)
+                if form.J[k][l] == 1), Fraction(0)) % 1
+
+
+def schroedinger_monomial(disc, genus, x, chi=1):
+    """(permutation, phases) of the Schroedinger model at x, one basis
+    point t of A^g at a time: t -> t - x_b with phase chi b(x_a, t - x_b)."""
+    basis = _h1_elements(disc, genus)
+    index = {t: i for i, t in enumerate(basis)}
+    perm, phases = [], []
+    for t in basis:
+        shifted = _h1_add(disc, t, x[1::2], sign=-1)
+        perm.append(index[shifted])
+        alpha = sum((disc.bilinear_coords(a, s) for a, s in zip(x[0::2], shifted)),
+                    Fraction(0))
+        phases.append(chi * alpha % 1)
+    return tuple(perm), tuple(phases)
+
+
+def h1_subgroup(form, generators):
+    """The subgroup the generators span, by breadth-first closure."""
+    disc = form.disc
+    seen = {tuple(disc.zero.coords for _ in range(len(form.J)))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {_h1_add(disc, x, g) for x in frontier for g in generators}
+                    if y not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def induced_monomial(form, subgroup, table):
+    """y -> (permutation, phases) of the representation induced from the
+    subgroup with splitting `table`, coset by coset: cosets keyed by their
+    least element r_t, and r_t + y = b + r_t' gives the phase
+    c(r_t, y) - chi(b) - c(b, r_t')."""
+    disc = form.disc
+    coset_of, reps = {}, []
+    for x in _h1_elements(disc, len(form.J)):
+        if x not in coset_of:
+            for b in subgroup:
+                coset_of[_h1_add(disc, x, b)] = len(reps)
+            reps.append(x)
+
+    def mono(y):
+        perm, phases = [], []
+        for r in reps:
+            x = _h1_add(disc, r, y)
+            t2 = coset_of[x]
+            b = _h1_add(disc, x, reps[t2], sign=-1)
+            perm.append(t2)
+            phases.append((_h1_cocycle(form, r, y) - table[b]
+                           - _h1_cocycle(form, b, reps[t2])) % 1)
+        return tuple(perm), tuple(phases)
+
+    return mono

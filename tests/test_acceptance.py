@@ -43,11 +43,19 @@ def test_criterion_02_factorization():
 
 
 def test_criterion_03_stone_von_neumann():
-    _report(criterion_03_stone_von_neumann(TOL, DEFAULT_SEED))
+    result = criterion_03_stone_von_neumann(TOL, DEFAULT_SEED)
+    _report(result)
+    assert result.details == {"representations_checked": 40,
+                              "explicit_intertwiners": 42,
+                              "max_commutant_deviation": 0.0,
+                              "max_hom_deviation": 0.0}
 
 
 def test_criterion_04_induced_decomposition():
-    _report(criterion_04_induced_decomposition(TOL, DEFAULT_SEED))
+    result = criterion_04_induced_decomposition(TOL, DEFAULT_SEED)
+    _report(result)
+    assert result.details == {"isotropic_subgroups_checked": {
+        "a1": 4, "z4": 11, "z6": 20, "z8": 26, "a2": 5, "d4": 31, "z2z2": 31}}
 
 
 def test_criterion_05_modular():

@@ -37,6 +37,9 @@ from latticecft.heisenberg import (
 )
 from latticecft.lattices import E8_GRAM, discriminant_group, validate_even_lattice
 from latticecft.surfaces import IntersectionForm, Surface, intersection_matrix
+from oracles import h1_subgroup, induced_monomial, schroedinger_monomial
+
+A2 = [[2, 1], [1, 2]]
 
 
 def disc_of(gram):
@@ -414,3 +417,95 @@ class TestExport:
         g0 = data["generators"][0]
         assert set(g0) == {"element", "matrix_re", "matrix_im"}
         assert len(g0["matrix_re"]) == 2
+
+
+class TestMonomialReference:
+    """rep.monomial(y) against the per-element tuple/Fraction references of
+    oracles.py, for every y in H1."""
+
+    def check_induced(self, gram, genus, gens, assigned=None):
+        form = IntersectionForm.closed_genus(disc_of(gram), genus)
+        sub = h1_subgroup(form, gens)
+        mono = induced_monomial(form, sub, canonical_splitting(form, sub, assigned=assigned))
+        rep = induce_from_isotropic(form, gens, splitting=assigned)
+        for y in enumerate_h1(form):
+            assert rep.monomial(y) == mono(y), y
+        return rep
+
+    def test_index_two_subgroup(self):
+        self.check_induced([[4]], 1, [((2,), (0,))])
+
+    def test_diagonal_two_torsion_has_quarter_phases(self):
+        rep = self.check_induced([[2]], 1, [((1,), (1,))])
+        assert rep.modulus == 4
+        assert Fraction(1, 4) in rep.monomial(((1,), (1,)))[1]
+
+    def test_assigned_splitting(self):
+        gen = ((1,), (0,))
+        self.check_induced([[4]], 1, [gen], assigned={gen: Fraction(1, 4)})
+
+    @pytest.mark.parametrize("gram, genus", [(A2, 1), (E8_GRAM, 2)])
+    def test_standard_lagrangians(self, gram, genus):
+        # E8 is unimodular: every slot has zero coordinates
+        for gens in standard_lagrangians(disc_of(gram), genus).values():
+            self.check_induced(gram, genus, gens)
+
+    def test_every_isotropic_subgroup_z2_genus_two(self):
+        form = IntersectionForm.closed_genus(disc_of([[2]]), 2)
+        for sub in isotropic_subgroups(form):
+            self.check_induced([[2]], 2, sub)
+
+    def test_direct_sum_of_different_moduli(self, z2):
+        form = IntersectionForm.closed_genus(z2, 1)
+        lags = standard_lagrangians(z2, 1)
+        rep1 = induce_from_isotropic(form, lags["a_span"])
+        rep2 = induce_from_isotropic(form, lags["diagonal"])
+        assert (rep1.modulus, rep2.modulus) == (2, 4)
+        total = rep1.direct_sum(rep2)
+        for y in enumerate_h1(form):
+            (p1, a1), (p2, a2) = rep1.monomial(y), rep2.monomial(y)
+            assert total.monomial(y) == (p1 + tuple(p + rep1.dimension for p in p2),
+                                         a1 + a2)
+
+    @pytest.mark.parametrize("gram, genus, chi", [
+        ([[2]], 1, 1), ([[2]], 2, 1), (A2, 1, 1), (A2, 1, 2), ([[4]], 1, 3),
+        ([[2, 0], [0, 4]], 1, 1), ([[4]], 0, 1), (E8_GRAM, 2, 1)])
+    def test_schroedinger(self, gram, genus, chi):
+        disc = disc_of(gram)
+        rep = schroedinger_irrep(disc, genus, chi=chi)
+        for y in enumerate_h1(rep.form):
+            assert rep.monomial(y) == schroedinger_monomial(disc, genus, y, chi), y
+
+
+class TestGroupMismatch:
+    """Characters and intertwiners compare representations of one
+    Heisenberg group only."""
+
+    @pytest.mark.parametrize("other", [[[6]], [[4]]])
+    def test_schroedinger_of_other_group(self, other):
+        rep1 = schroedinger_irrep(disc_of([[2]]), 1)
+        rep2 = schroedinger_irrep(disc_of(other), 1)
+        with pytest.raises(DimensionMismatch):
+            intertwiner_dimension(rep1, rep2)
+        with pytest.raises(DimensionMismatch):
+            explicit_intertwiner(rep1, rep2)
+
+    def test_same_factors_other_form(self):
+        # Z/4 with b = 1/4 against the A3 form b = 3/4
+        a3 = disc_of([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        z4 = disc_of([[4]])
+        assert a3.invariant_factors == z4.invariant_factors
+        with pytest.raises(DimensionMismatch):
+            intertwiner_dimension(schroedinger_irrep(z4, 1), schroedinger_irrep(a3, 1))
+
+    def test_same_rank_other_surface(self, z2):
+        # rank 2 both, but the thrice-punctured sphere has zero pairing
+        torus = IntersectionForm.closed_genus(z2, 1)
+        sphere = intersection_matrix(
+            Surface.connected(0, [("c0", "out"), ("c1", "in"), ("c2", "in")]), z2)
+        rep1 = induce_from_isotropic(torus, [])
+        rep2 = induce_from_isotropic(sphere, [])
+        with pytest.raises(DimensionMismatch):
+            intertwiner_dimension(rep1, rep2)
+        with pytest.raises(DimensionMismatch):
+            explicit_intertwiner(rep1, rep2)
