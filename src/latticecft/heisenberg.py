@@ -14,16 +14,16 @@ row of rank * k ints (k invariant factors per slot), and its position is
 the mixed-radix index of that row, which is its place in `enumerate_h1`.
 Each representation holds one integer monomial map from such a row to a
 permutation array and a phase array mod M; `monomial` reads it back as
-exact tuples and `Fraction`s.  Floats appear only in `matrix`,
-`trace_complex` and the commutant and intertwiner dimensions built on
-them.
+exact tuples and `Fraction`s.  Commutant and intertwiner dimensions are
+exact integers from the character pairing of Stone-von Neumann; floats
+appear only in `matrix` and the nullspace solve of `explicit_intertwiner`.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +41,10 @@ from .lattices import DENSE_ENTRY_BUDGET, DiscriminantGroup, _within_budget
 from .surfaces import IntersectionForm, Surface
 
 Coords = tuple[tuple[int, ...], ...]
+
+H1_LIMIT = 10 ** 6  # elements of H1(S; A) that are listed or induced over
+SUBGROUP_LIMIT = 4096  # |H1| whose subgroups are enumerated
+IRREDUCIBLE_LIMIT = 10 ** 4  # |H1| for which irreducibility is decided
 
 
 @dataclass(frozen=True)
@@ -99,13 +103,10 @@ def _units(form: IntersectionForm, slots) -> list[Coords]:
             for k in slots for g in form.disc.generators()]
 
 
-def enumerate_h1(form: IntersectionForm, limit: int = 10 ** 6) -> list[Coords]:
+def enumerate_h1(form: IntersectionForm) -> list[Coords]:
     """All of H1(S; A) in lexicographic order."""
-    per_slot = [tuple(a.coords for a in form.disc.elements())] * form.rank
-    total = form.disc.order ** form.rank
-    if total > limit:
-        raise GroupTooLarge(f"{total} elements")
-    return [tuple(x) for x in itertools.product(*per_slot)]
+    grid = _Grid(form.disc, form.rank, H1_LIMIT)
+    return grid.coords(grid.rows(np.arange(grid.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,11 @@ def _row(x: Coords) -> np.ndarray:
     return np.array([c for a in x for c in a], dtype=np.int64)
 
 
+def _phase_sum(counts: np.ndarray, m: int) -> PhaseSum:
+    """sum_a counts[a] e(a/m), exactly."""
+    return PhaseSum(Counter({Fraction(a, m): c for a, c in enumerate(counts.tolist()) if c}))
+
+
 # ---------------------------------------------------------------------------
 # monomial unitary representations
 
@@ -157,13 +163,14 @@ class UnitaryRep:
 
     One integer map carries the representation: `monomial_fn` takes X as
     a grid row and returns m_X as an int array and M alpha_X mod M as an
-    int array, M = `modulus`.  `monomial` is its exact reading;
-    `matrix` and `trace_complex` are its only float views.  Every X off
-    `support` moves every basis point, so its trace is exactly zero.
+    int array, M = `modulus`.  `monomial` and `trace_phase_sum` are its
+    exact readings and `matrix` its only float view.  `support` is a
+    sorted int array of grid positions; every X off it moves every basis
+    point, so its trace is exactly zero.
     """
 
     def __init__(self, form: IntersectionForm, dimension: int, monomial_fn,
-                 modulus: int, support: list[Coords], description: str,
+                 modulus: int, support: np.ndarray, description: str,
                  chi: int = 1):
         self.form = form
         self.dimension = dimension
@@ -172,6 +179,7 @@ class UnitaryRep:
         self.support = support
         self.description = description
         self.chi = chi
+        self._grid = _Grid(form.disc, form.rank)
 
     # monomial data: permutation m and phases alpha, exact
     def monomial(self, x: Coords):
@@ -185,47 +193,37 @@ class UnitaryRep:
     def central_character(self, phase: Fraction) -> Fraction:
         return (self.chi * phase) % 1
 
-    def _roots(self, alpha: np.ndarray, extra: float = 0.0) -> np.ndarray:
-        """e^(2 pi i (a / M + extra)) for each a in alpha, one scalar
-        evaluation of the exact phase per distinct residue."""
-        residues, inverse = np.unique(alpha, return_inverse=True)
-        m = self.modulus
-        table = np.array([cmath.exp(2j * cmath.pi * (float(Fraction(a, m)) + extra))
-                          for a in residues.tolist()], dtype=complex)
-        return table[inverse]
-
     def matrix(self, x: HeisenbergElement | Coords) -> np.ndarray:
         if isinstance(x, HeisenbergElement):
             coords, phase = x.X, x.phase
         else:
             coords, phase = x, Fraction(0)
         perm, alpha = self._monomial(_row(coords))
+        # one scalar evaluation of the exact phase per distinct residue
+        residues, inverse = np.unique(alpha, return_inverse=True)
+        extra, modulus = float(self.central_character(phase)), self.modulus
+        roots = np.array([cmath.exp(2j * cmath.pi * (float(Fraction(a, modulus)) + extra))
+                          for a in residues.tolist()], dtype=complex)
         n = self.dimension
         m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n), perm] = self._roots(alpha, float(self.central_character(phase)))
+        m[np.arange(n), perm] = roots[inverse]
         return m
 
-    def _fixed_phases(self, x: Coords) -> np.ndarray:
-        """M alpha_x(t) at the basis points t that x fixes."""
-        perm, alpha = self._monomial(_row(x))
-        return alpha[perm == np.arange(self.dimension)]
+    def _histogram(self, y: np.ndarray, m: int) -> np.ndarray:
+        """counts[a]: the basis points that rho(y) fixes with phase a/m."""
+        perm, alpha = self._monomial(y)
+        fixed = alpha[perm == np.arange(self.dimension)] * (m // self.modulus)
+        return np.bincount(fixed, minlength=m)
 
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        out = PhaseSum()
-        residues, counts = np.unique(self._fixed_phases(x), return_counts=True)
-        for a, c in zip(residues.tolist(), counts.tolist()):
-            out.add(Fraction(a, self.modulus), c)
-        return out
-
-    def trace_complex(self, x: Coords) -> complex:
-        return complex(self._roots(self._fixed_phases(x)).sum())
+        return _phase_sum(self._histogram(_row(x), self.modulus), self.modulus)
 
     def generator_elements(self) -> list[HeisenbergElement]:
         return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
 
     def direct_sum(self, other: "UnitaryRep") -> "UnitaryRep":
-        if other.form is not self.form or other.chi != self.chi:
-            raise DimensionMismatch("direct sum needs matching form and center")
+        if not _same_group(self, other):
+            raise DimensionMismatch("direct sum needs the same central character")
         n1, m = self.dimension, math.lcm(self.modulus, other.modulus)
 
         def mono(y):
@@ -234,8 +232,8 @@ class UnitaryRep:
             return (np.concatenate([p1, p2 + n1]),
                     np.concatenate([a1 * (m // self.modulus), a2 * (m // other.modulus)]))
 
-        support = sorted(set(self.support) | set(other.support))
-        return UnitaryRep(self.form, n1 + other.dimension, mono, m, support,
+        return UnitaryRep(self.form, n1 + other.dimension, mono, m,
+                          np.union1d(self.support, other.support),
                           f"{self.description} (+) {other.description}", self.chi)
 
     def to_json(self) -> dict:
@@ -294,7 +292,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     # traces vanish off the a-cycle span: any b-shift moves every basis point
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
     span[:, :, 0] = points.reshape(dim, genus, k)
-    support = _Grid(disc, 2 * genus).coords(span.reshape(dim, -1))
+    support = _Grid(disc, 2 * genus).index(span.reshape(dim, -1))
     return UnitaryRep(form, dim, mono, n, support,
                       f"schroedinger(genus={genus}, |A|={disc.order})", chi)
 
@@ -331,13 +329,15 @@ def subgroup_closure(form: IntersectionForm, generators) -> list[Coords]:
 
 
 def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
-    return all(form.pairing(x, y) == 0 for x in subgroup for y in subgroup)
+    """S vanishes on every pair of the elements: one integer product."""
+    n, c = form.disc.exponent, form.cocycle_int
+    b = np.array(subgroup, dtype=np.int64).reshape(len(subgroup), len(c))
+    return not np.any(b @ (c - c.T) % n @ b.T % n)
 
 
-def enumerate_subgroups(form: IntersectionForm,
-                        limit: int = 4096) -> list[list[Coords]]:
+def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     """All subgroups of H1(S; A), each as a sorted element list."""
-    grid = _Grid(form.disc, form.rank, limit)
+    grid = _Grid(form.disc, form.rank, SUBGROUP_LIMIT)
     trivial = frozenset({0})
     seen = {trivial}
     frontier = [trivial]
@@ -356,10 +356,8 @@ def enumerate_subgroups(form: IntersectionForm,
             sorted((sorted(sub) for sub in seen), key=lambda s: (len(s), s))]
 
 
-def isotropic_subgroups(form: IntersectionForm,
-                        limit: int = 4096) -> list[list[Coords]]:
-    return [sub for sub in enumerate_subgroups(form, limit=limit)
-            if is_isotropic(form, sub)]
+def isotropic_subgroups(form: IntersectionForm) -> list[list[Coords]]:
+    return [sub for sub in enumerate_subgroups(form) if is_isotropic(form, sub)]
 
 
 def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
@@ -444,9 +442,9 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     gens = [g.X if isinstance(g, HeisenbergElement) else tuple(g)
             for g in generators]
     # the pairing is bilinear, so generator pairs decide isotropy
-    if not all(form.pairing(g1, g2) == 0 for g1 in gens for g2 in gens):
+    if not is_isotropic(form, gens):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
-    grid = _Grid(disc, form.rank, limit=10 ** 6)
+    grid = _Grid(disc, form.rank, limit=H1_LIMIT)
     members = _closure(grid, gens)
     subgroup = grid.coords(grid.rows(members))
     if splitting is None:
@@ -475,9 +473,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
             label[grid.index(grid.rows(i) + b_rows)] = len(reps)
             reps.append(i)
     r = grid.rows(reps)
-    cocycle = np.kron(np.array(form.J, dtype=np.int64).reshape(form.rank, form.rank) == 1,
-                      disc.bilinear_int)  # N c(x, y) = x cocycle y mod N
-    left, right = r @ cocycle % n, r @ cocycle.T % n
+    left, right = r @ form.cocycle_int % n, r @ form.cocycle_int.T % n
 
     def mono(y):
         # sections invariant under the lifted subgroup satisfy
@@ -489,7 +485,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
         chi_b = chi_m[np.searchsorted(members, grid.index(b))]
         return t2, (c * (big_m // n) - chi_b) % big_m
 
-    return UnitaryRep(form, len(reps), mono, big_m, subgroup,
+    return UnitaryRep(form, len(reps), mono, big_m, members,
                       f"induced(|B|={len(subgroup)}, dim={len(reps)})")
 
 
@@ -497,51 +493,54 @@ def induce_from_isotropic(form: IntersectionForm, generators,
 # commutants and intertwiners
 
 
-def commutant_dimension(rep: UnitaryRep) -> float:
-    """dim of {M : M rho(x) = rho(x) M for all x}, as (1/|G|) sum |tr|^2.
+def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
+    """dim Hom(rep1, rep2) = (1/|H1|) sum_x tr rho1(x) conj(tr rho2(x)),
+    exactly: with u, v the phase histograms mod m of the traces at x, the
+    term is the integer product u(z) v(1/z) in Z[z]/(z^m - 1), formed once
+    per distinct (u, v).  Different central characters give 0."""
+    if not _same_group(rep1, rep2):
+        return 0
+    m, pairs = math.lcm(rep1.modulus, rep2.modulus), Counter()
+    for y in rep1._grid.rows(np.intersect1d(rep1.support, rep2.support)):
+        u = rep1._histogram(y, m)
+        pairs[u.tobytes(), (u if rep2 is rep1 else rep2._histogram(y, m)).tobytes()] += 1
+    sums = np.zeros(m, dtype=np.int64)
+    for (u, v), count in pairs.items():
+        u, v = np.frombuffer(u, dtype=np.intp), np.frombuffer(v, dtype=np.intp)
+        sums += count * np.correlate(np.concatenate([u, u]), v, "valid")[:m]
+    value = _phase_sum(sums, m).integer_value()
+    if value is None or value % rep1._grid.size:
+        raise ArithmeticError("character pairing is not a multiple of |H1|")
+    return value // rep1._grid.size
 
-    Off the stored support every basis point moves, so the trace vanishes
-    exactly; the sum only runs over the support.
-    """
-    total_order = rep.form.disc.order ** rep.form.rank
-    acc = 0.0
-    for x in rep.support:
-        t = rep.trace_complex(x)
-        acc += (t.real * t.real + t.imag * t.imag)
-    return acc / total_order
+
+def commutant_dimension(rep: UnitaryRep) -> int:
+    """dim of {M : M rho(x) = rho(x) M for all x}, by the character pairing."""
+    return _character_pairing(rep, rep)
 
 
 def verify_irreducible(rep: UnitaryRep) -> bool:
-    """Commutant has dimension 1.  Small dimensions go through an explicit
-    nullspace computation; larger ones through the character sum."""
-    total_order = rep.form.disc.order ** rep.form.rank
-    if total_order > 10 ** 4:
-        raise GroupTooLarge(f"group has {total_order} elements")
-    if rep.dimension <= 32:
-        dim = explicit_intertwiner(rep, rep)[0]
-    else:
-        dim = commutant_dimension(rep)
-    return abs(dim - 1.0) < 1e-9
+    """Schur: the commutant has dimension 1."""
+    if rep._grid.size > IRREDUCIBLE_LIMIT:
+        raise GroupTooLarge(f"group has {rep._grid.size} elements")
+    return commutant_dimension(rep) == 1
 
 
-def _same_group(rep1: UnitaryRep, rep2: UnitaryRep) -> None:
+def _same_group(rep1: UnitaryRep, rep2: UnitaryRep) -> bool:
     """Refuse representations of different Heisenberg groups: the
-    intersection matrices, invariant factors or bilinear forms differ."""
+    intersection matrices, invariant factors or bilinear forms differ.
+    Returns whether the central exponents agree mod N."""
     f1, f2 = rep1.form, rep2.form
     if f1 is not f2 and (
             f1.J != f2.J or f1.disc.invariant_factors != f2.disc.invariant_factors
             or not np.array_equal(f1.disc.bilinear_int, f2.disc.bilinear_int)):
         raise DimensionMismatch("representations of different Heisenberg groups")
+    return (rep1.chi - rep2.chi) % f1.disc.exponent == 0
 
 
-def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> float:
-    """dim Hom(rep1, rep2) for same-cocycle reps, by character pairing."""
-    _same_group(rep1, rep2)
-    total_order = rep1.form.disc.order ** rep1.form.rank
-    acc = 0j
-    for x in sorted(set(rep1.support) & set(rep2.support)):
-        acc += rep1.trace_complex(x) * rep2.trace_complex(x).conjugate()
-    return abs(acc) / total_order
+def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
+    """dim Hom(rep1, rep2), by the character pairing."""
+    return _character_pairing(rep1, rep2)
 
 
 def explicit_intertwiner(rep1: UnitaryRep, rep2: UnitaryRep):

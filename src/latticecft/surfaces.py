@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import MissingLabel, OrientationMismatch, UnknownCircle
 from .lattices import DiscriminantGroup, GroupElement
 
@@ -182,6 +184,8 @@ class IntersectionForm:
     The kernel of the pairing is exactly the span of the boundary-parallel
     slots.  A fixed 'polarized' integer cocycle P with P - P^T equal to
     the geometric intersection matrix backs the unitary representations.
+    `cocycle_int` = P (x) `bilinear_int` is N c on elements flattened to
+    rank * k ints: N c(x, y) = x cocycle_int y mod N.
     """
 
     def __init__(self, surface: Surface, disc: DiscriminantGroup):
@@ -203,6 +207,8 @@ class IntersectionForm:
         self.J: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in j)
         self._upper = tuple((k, l) for k in range(n) for l in range(k + 1, n)
                             if j[k][l] == 1)
+        self.cocycle_int = np.kron(np.array(j, dtype=np.int64).reshape(n, n) == 1,
+                                   disc.bilinear_int)
 
     @property
     def rank(self) -> int:

@@ -4,11 +4,13 @@ These deliberately avoid the code paths they certify: determinants by
 Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
 raw summation, state counts by explicit enumeration, modular data one
-entry at a time from the lifts and the Gram matrix.
+entry at a time from the lifts and the Gram matrix, Heisenberg commutant
+and Hom dimensions as float character sums.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -318,3 +320,28 @@ def induced_monomial(form, subgroup, table):
         return tuple(perm), tuple(phases)
 
     return mono
+
+
+def h1_elements_at(disc, slots, positions):
+    """The elements of H1 at the given positions of the lexicographic order."""
+    elements = _h1_elements(disc, slots)
+    return [elements[p] for p in positions]
+
+
+def float_traces(rep, elements) -> list[complex]:
+    """tr rho(x) for each x: a float sum of e(alpha_x(t)) over the basis
+    points t that rho(x) fixes, read from the exact monomial data."""
+    out = []
+    for x in elements:
+        perm, phases = rep.monomial(x)
+        out.append(sum((cmath.exp(2j * cmath.pi * float(a))
+                        for t, (p, a) in enumerate(zip(perm, phases)) if p == t), 0j))
+    return out
+
+
+def float_character_pairing(traces1, traces2, order) -> float:
+    """|sum_x tr1(x) conj(tr2(x))| / |H1| in floats, over elements that
+    include every x where both traces are nonzero: the commutant dimension
+    when both are one representation's traces, else the Hom dimension of
+    two representations with the same central character."""
+    return abs(sum(a * b.conjugate() for a, b in zip(traces1, traces2))) / order

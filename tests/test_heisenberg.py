@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from latticecft.errors import (
     NotASplitting,
     NotIsotropic,
 )
+from latticecft.acceptance import SMALL_GRAMS, SWEEP_GRAMS
 from latticecft.exact import PhaseSum
 from latticecft.heisenberg import (
     HeisenbergElement,
@@ -37,7 +39,14 @@ from latticecft.heisenberg import (
 )
 from latticecft.lattices import E8_GRAM, discriminant_group, validate_even_lattice
 from latticecft.surfaces import IntersectionForm, Surface, intersection_matrix
-from oracles import h1_subgroup, induced_monomial, schroedinger_monomial
+from oracles import (
+    float_character_pairing,
+    float_traces,
+    h1_elements_at,
+    h1_subgroup,
+    induced_monomial,
+    schroedinger_monomial,
+)
 
 A2 = [[2, 1], [1, 2]]
 
@@ -228,7 +237,7 @@ class TestSchroedinger:
     def test_schur_orthogonality(self, z2, z3):
         for disc in (z2, z3):
             rep = schroedinger_irrep(disc, 1)
-            assert abs(commutant_dimension(rep) - 1.0) < 1e-9
+            assert commutant_dimension(rep) == 1
 
 
 class TestIrreducibility:
@@ -249,6 +258,29 @@ class TestIrreducibility:
         with pytest.raises(GroupTooLarge):
             verify_irreducible(schroedinger_irrep(disc, 2))
 
+    def test_above_dimension_32(self):
+        rep = schroedinger_irrep(disc_of([[6]]), 2)
+        assert rep.dimension == 36
+        assert verify_irreducible(rep)
+        assert not verify_irreducible(rep.direct_sum(rep))
+
+    def test_direct_sum_of_separately_built_reps(self):
+        rep1, rep2 = schroedinger_irrep(disc_of([[2]]), 1), schroedinger_irrep(disc_of([[2]]), 1)
+        assert rep1.form is not rep2.form
+        total = rep1.direct_sum(rep2)
+        assert total.dimension == 4
+        assert commutant_dimension(total) == 4
+        assert intertwiner_dimension(total, rep1) == 2
+
+    def test_direct_sum_needs_same_group_and_center(self):
+        z6 = disc_of([[6]])
+        rep = schroedinger_irrep(z6, 1)
+        with pytest.raises(DimensionMismatch):
+            rep.direct_sum(schroedinger_irrep(z6, 1, chi=5))
+        with pytest.raises(DimensionMismatch):
+            rep.direct_sum(schroedinger_irrep(disc_of([[2]]), 1))
+        assert rep.direct_sum(schroedinger_irrep(z6, 1, chi=7)).dimension == 12
+
 
 class TestInduction:
     def test_full_lagrangian_matches_schroedinger(self, z3):
@@ -268,15 +300,15 @@ class TestInduction:
         rep = induce_from_isotropic(form, [])
         assert rep.dimension == 4
         # unique irrep class: the regular rep is |A| copies of the dim-|A| irrep
-        assert abs(commutant_dimension(rep) - 4.0) < 1e-9
-        assert abs(intertwiner_dimension(rep, schroedinger_irrep(z2, 1)) - 2.0) < 1e-9
+        assert commutant_dimension(rep) == 4
+        assert intertwiner_dimension(rep, schroedinger_irrep(z2, 1)) == 2
 
     def test_index_two_subgroup_of_lagrangian(self, z4):
         form = IntersectionForm.closed_genus(z4, 1)
         rep = induce_from_isotropic(form, [((2,), (0,))])
         assert rep.dimension == 8
-        assert abs(commutant_dimension(rep) - 4.0) < 1e-9  # two copies
-        assert abs(intertwiner_dimension(rep, schroedinger_irrep(z4, 1)) - 2.0) < 1e-9
+        assert commutant_dimension(rep) == 4  # two copies
+        assert intertwiner_dimension(rep, schroedinger_irrep(z4, 1)) == 2
         assert not verify_irreducible(rep)
 
     def test_not_isotropic(self, z3):
@@ -310,14 +342,15 @@ class TestInduction:
             rep = induce_from_isotropic(form, gens)
             for x in enumerate_h1(form):
                 want = complex(np.trace(rep.matrix(x)))
-                assert abs(rep.trace_complex(x) - want) < 1e-9, x
+                assert abs(rep.trace_phase_sum(x).to_complex() - want) < 1e-9, x
 
     def test_trace_with_assigned_splitting(self, z4):
         form = IntersectionForm.closed_genus(z4, 1)
         rep = induce_from_isotropic(form, [((1,), (0,))],
                                     splitting={((1,), (0,)): Fraction(1, 4)})
         for x in enumerate_h1(form):
-            assert abs(rep.trace_complex(x) - complex(np.trace(rep.matrix(x)))) < 1e-9
+            assert abs(rep.trace_phase_sum(x).to_complex()
+                       - complex(np.trace(rep.matrix(x)))) < 1e-9
 
     def test_character_of_induced_is_multiple_of_delta(self, z4):
         # dec-ind at a glance: induced character = sqrt(|Bperp|/|B|) * schroedinger one
@@ -345,9 +378,9 @@ class TestStoneVonNeumann:
         reps["schroedinger"] = schroedinger_irrep(disc, 1)
         names = sorted(reps)
         for name in names:
-            assert abs(commutant_dimension(reps[name]) - 1.0) < 1e-9, name
+            assert commutant_dimension(reps[name]) == 1, name
         for n1, n2 in itertools.combinations(names, 2):
-            assert abs(intertwiner_dimension(reps[n1], reps[n2]) - 1.0) < 1e-9
+            assert intertwiner_dimension(reps[n1], reps[n2]) == 1
             nullity, m = explicit_intertwiner(reps[n1], reps[n2])
             assert nullity == 1
             m = m / np.linalg.norm(m, 2)
@@ -509,3 +542,91 @@ class TestGroupMismatch:
             intertwiner_dimension(rep1, rep2)
         with pytest.raises(DimensionMismatch):
             explicit_intertwiner(rep1, rep2)
+
+
+class TestExactCharacterPairing:
+    """Commutant and Hom dimensions are ints equal to the rounded float
+    character sums of oracles.py; different central characters give 0."""
+
+    def check(self, reps, elements=None):
+        form = reps[0].form
+        if elements is None:  # every trace vanishes off the supports
+            positions = sorted(set().union(*(r.support.tolist() for r in reps)))
+            elements = h1_elements_at(form.disc, form.rank, positions)
+        traces = [float_traces(r, elements) for r in reps]
+        order, n = form.disc.order ** form.rank, form.disc.exponent
+        for (i, r1), (j, r2) in itertools.combinations_with_replacement(enumerate(reps), 2):
+            got = commutant_dimension(r1) if i == j else intertwiner_dimension(r1, r2)
+            assert type(got) is int
+            if (r1.chi - r2.chi) % n:
+                assert got == 0
+            else:
+                assert got == round(float_character_pairing(traces[i], traces[j], order))
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAMS))
+    def test_stone_von_neumann_representations(self, name):
+        # the representations of acceptance criterion 3
+        disc = disc_of(SWEEP_GRAMS[name])
+        for genus in (1, 2):
+            if disc.order ** (2 * genus) > 10 ** 5:
+                continue
+            form = IntersectionForm.closed_genus(disc, genus)
+            self.check([schroedinger_irrep(disc, genus)]
+                       + [induce_from_isotropic(form, gens)
+                          for gens in standard_lagrangians(disc, genus).values()])
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAMS))
+    def test_every_isotropic_subgroup(self, name):
+        # the induced representations of acceptance criterion 4
+        disc = disc_of(SMALL_GRAMS[name])
+        if disc.order > 8:
+            return
+        form = IntersectionForm.closed_genus(disc, 1)
+        irrep = schroedinger_irrep(disc, 1)
+        for sub in isotropic_subgroups(form):
+            self.check([irrep, induce_from_isotropic(form, sub)])
+
+    def test_above_dimension_32(self):
+        rep = schroedinger_irrep(disc_of([[6]]), 2)
+        self.check([rep, rep.direct_sum(rep)])
+
+    def test_surface_with_boundary(self):
+        # the boundary class r is central, so traces at r need not vanish
+        form = intersection_matrix(
+            Surface.connected(1, [("c0", "out"), ("c1", "in")]), disc_of([[4]]))
+        a, r = ((1,), (0,), (0,)), ((0,), (0,), (1,))
+        reps = [induce_from_isotropic(form, gens) for gens in ([], [a], [r], [a, r])]
+        self.check(reps + [reps[1].direct_sum(reps[2])], enumerate_h1(form))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_small_groups(self, data):
+        gram = data.draw(st.sampled_from([
+            [[2]], [[4]], [[6]], [[8]], [[10]], [[12]], A2, [[2, 0], [0, 2]],
+            [[2, 0], [0, 4]], [[4, 0], [0, 4]], [[4, 2], [2, 4]]]))
+        disc = disc_of(gram)
+        genus = data.draw(st.integers(0, 2))
+        if disc.order ** (2 * genus) > 256:
+            genus = 0 if disc.order > 16 else 1
+        form = IntersectionForm.closed_genus(disc, genus)
+        n = disc.exponent
+        chi = data.draw(st.sampled_from([c for c in range(1, 2 * n + 1) if math.gcd(c, n) == 1]))
+        x = tuple(tuple(data.draw(st.integers(0, d - 1)) for d in disc.invariant_factors)
+                  for _ in range(form.rank))
+        irrep = schroedinger_irrep(disc, genus)
+        induced = induce_from_isotropic(form, [x])  # a cyclic subgroup is isotropic
+        reps = [irrep, schroedinger_irrep(disc, genus, chi=chi), induced,
+                irrep.direct_sum(induced)]
+        self.check(reps, enumerate_h1(form))
+
+    @pytest.mark.parametrize("gram", [[[4]], [[6]], [[8]], A2, [[2, 0], [0, 4]]])
+    def test_central_characters(self, gram):
+        # Hom is one-dimensional exactly when chi1 = chi2 mod N
+        disc = disc_of(gram)
+        n = disc.exponent
+        reps = {c: schroedinger_irrep(disc, 1, chi=c)
+                for c in range(1, 2 * n) if math.gcd(c, n) == 1}
+        for c1, c2 in itertools.product(reps, repeat=2):
+            want = int((c1 - c2) % n == 0)
+            assert intertwiner_dimension(reps[c1], reps[c2]) == want, (c1, c2)
+            assert explicit_intertwiner(reps[c1], reps[c2])[0] == want, (c1, c2)
