@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from latticecft.blocks import fusion_rules, genus1_mcg_rep, modular_data
+from latticecft.blocks import fusion_rules, genus1_mcg_rep
 from latticecft.lattices import (
     BUNDLED_GRAMS,
     discriminant_group,
@@ -28,9 +28,8 @@ def show(name: str) -> None:
     g = gauss_sum(disc)
     print(f"   gauss sum {g:.6f}")
     rep = genus1_mcg_rep(disc)
-    md = modular_data(lat, disc)
     print(f"   sigma mod 8 = {rep.signature}, "
-          f"central charge exponent = {md.central_charge_exponent}")
+          f"central charge exponent = {lat.level_ell * lat.rank}")
     with np.printoptions(precision=4, suppress=True):
         print("   S =")
         for row in rep.S:

@@ -2,18 +2,19 @@
 
 Block spaces attach to labeled surfaces: per component the dimension is
 |A|^genus when the signed boundary-label sum vanishes and 0 otherwise,
-multiplicatively over components.  The genus-1 block space C^A carries
-the modular S and T matrices of the discriminant form; the framing
-factor exp(-2 pi i sigma/24) is kept as metadata rather than folded into
-T, so that (S T)^3 = exp(2 pi i sigma/8) S^2 is the relation the suite
-verifies, with sigma certified by the Gauss-sum oracle.
+multiplicatively over components.  The factorization sum over the labels
+of k gluing circles and the character sums of the Verlinde formula run
+over rows of A^k and A from the mixed-radix indexer of `lattices`, a
+bounded slab at a time.  The genus-1 block space C^A carries the modular
+S and T matrices of the discriminant form; the framing factor
+exp(-2 pi i sigma/24) is kept as metadata on the report rather than
+folded into T, so that (S T)^3 = exp(2 pi i sigma/8) S^2 is the relation
+the suite verifies, with sigma certified by the Gauss-sum oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +25,8 @@ from .errors import InvalidSplit, MissingLabel
 from .exact import PhaseSum
 from .lattices import (
     DiscriminantGroup,
-    EvenLattice,
     GroupElement,
+    _MixedRadix,
     _within_budget,
     signature_mod8,
 )
@@ -95,9 +96,12 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
     """Compare dim E(s) with the label sum over the gluing circles of the
     product of piece block dimensions.
 
-    The sum runs over |A|^k assignments; per piece component only the
-    signed label total matters, so each component is reduced once to a
-    constant part plus hooks into the assignment tuple.
+    The sum runs over the |A|^k assignments, rows of A^k in lexicographic
+    order, a slab at a time.  Per piece component only the signed label
+    total matters: a constant row from the free labels plus a signed
+    selection of the assignment row.  An assignment that zeroes every
+    total contributes the product of the weights |A|^genus, the same for
+    all of them, so the sum is that product times a count.
     """
     if len(pieces) == 1:
         glued = glue(pieces[0], None, matching)
@@ -113,67 +117,42 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
         raise InvalidSplit("free boundary circles do not match the surface")
 
     lhs = block_dimension(s, labels, disc)
-    match_slot = {}
-    for idx, (out_id, in_id) in enumerate(matching):
-        match_slot[out_id] = idx
-        match_slot[in_id] = idx
-    comp_data = []
-    for piece in pieces:
-        for comp in piece.components:
-            const = disc.zero.coords
-            hooks = []
-            for circle in comp.boundaries:
-                sign = 1 if circle.orientation == OUT else -1
-                if circle.id in match_slot:
-                    hooks.append((match_slot[circle.id], sign))
-                else:
-                    lam = labels.get(circle.id)
-                    if lam is None:
-                        raise MissingLabel(f"no label for circle {circle.id!r}")
-                    coords = lam.coords if sign > 0 else disc.neg_coords(lam.coords)
-                    const = disc.add_coords(const, coords)
-            comp_data.append((const, tuple(hooks), disc.order ** comp.genus))
+    match_slot = {cid: idx for idx, pair in enumerate(matching) for cid in pair}
+    k = len(disc.invariant_factors)
+    comps = [comp for piece in pieces for comp in piece.components]
+    # component totals = (const + assignment @ signs) mod the factors
+    const = np.zeros((len(comps), k), dtype=disc.bilinear_int.dtype)
+    signs = np.zeros((len(matching), k, len(comps), k), dtype=np.int64)
+    weight = 1
+    for c, comp in enumerate(comps):
+        for circle in comp.boundaries:
+            sign = 1 if circle.orientation == OUT else -1
+            if circle.id in match_slot:
+                signs[match_slot[circle.id], :, c, :] += sign * np.eye(k, dtype=np.int64)
+            else:
+                lam = labels.get(circle.id)
+                if lam is None:
+                    raise MissingLabel(f"no label for circle {circle.id!r}")
+                const[c] += sign * np.array(lam.coords, dtype=const.dtype)
+        weight *= disc.order ** comp.genus
+    const, signs = const.reshape(-1), signs.reshape(len(matching) * k, len(comps) * k)
+    radices = np.tile(np.array(disc.invariant_factors, dtype=const.dtype), len(comps))
 
-    elements = [a.coords for a in disc.elements()]
-    rhs = 0
-    terms = []
-    for assignment in itertools.product(elements, repeat=len(matching)):
-        term = 1
-        for const, hooks, weight in comp_data:
-            acc = const
-            for idx, sign in hooks:
-                lam = assignment[idx]
-                acc = disc.add_coords(acc, lam if sign > 0
-                                      else disc.neg_coords(lam))
-            if any(acc):
-                term = 0
-                break
-            term *= weight
-        rhs += term
+    _within_budget(disc.order ** len(matching), "the factorization sum")
+    grid = _MixedRadix(disc.invariant_factors, len(matching))
+    count, terms = 0, []
+    for rows in grid.slabs():
+        passes = ~np.any((rows @ signs + const) % radices, axis=1)
+        count += int(np.count_nonzero(passes))
         if keep_terms:
-            terms.append((assignment, term))
+            terms += zip(grid.coords(rows), [weight if p else 0 for p in passes.tolist()])
+    rhs = weight * count
     return FactorizationReport(lhs=lhs, rhs=rhs, equal=lhs == rhs,
                                terms=tuple(terms) if keep_terms else None)
 
 
 # ---------------------------------------------------------------------------
 # modular data
-
-
-@dataclass(frozen=True, eq=False)
-class ModularData:
-    S: np.ndarray
-    T: np.ndarray
-    signature: int
-    central_charge_exponent: Fraction
-
-    @property
-    def framing_phase(self) -> complex:
-        return np.exp(-2j * np.pi * self.signature / 24)
-
-    def framed_T(self) -> np.ndarray:
-        """T with the framing factor folded in; (S framed_T)^3 = S^2."""
-        return self.T * self.framing_phase
 
 
 def s_matrix(disc: DiscriminantGroup) -> np.ndarray:
@@ -189,7 +168,7 @@ def t_matrix(disc: DiscriminantGroup) -> np.ndarray:
     """Diagonal of twists, T_a = exp(pi i q(a)).
 
     The framing factor exp(-2 pi i sigma/24) belongs to the determinant
-    line metadata (see ModularData); keeping T bare is what makes
+    line metadata (see MappingClassReport); keeping T bare is what makes
     (S T)^3 = exp(2 pi i sigma/8) S^2 hold verbatim.
     """
     _within_budget(disc.order ** 2, "the T matrix")
@@ -200,12 +179,6 @@ def t_matrix(disc: DiscriminantGroup) -> np.ndarray:
 def charge_conjugation(disc: DiscriminantGroup) -> np.ndarray:
     _within_budget(disc.order ** 2, "the charge conjugation matrix")
     return np.eye(disc.order)[disc.index(-disc.coordinates())]
-
-
-def modular_data(lat: EvenLattice, disc: DiscriminantGroup) -> ModularData:
-    sigma = signature_mod8(disc)
-    return ModularData(S=s_matrix(disc), T=t_matrix(disc), signature=sigma,
-                       central_charge_exponent=Fraction(lat.level_ell * lat.rank))
 
 
 def fusion_rules(disc: DiscriminantGroup):
@@ -228,11 +201,14 @@ class VerlindeReport:
 def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
     """sum_j e(-b(a, j)) over all j in A.  Since N b(a, j) is
     sum_k j_k N b(a, e_k) over the generators e_k, every phase is a
-    multiple of 1/N, N the exponent."""
+    multiple of 1/N, N the exponent.  The phases are keyed in the order
+    they first occur over elements(), which fixes the float sum."""
     n = disc.exponent
-    steps = [disc._bilinear_scaled(a.coords, e.coords) for e in disc.generators()]
-    elements = itertools.product(*map(range, disc.invariant_factors))
-    counts = Counter(-sum(map(operator.mul, j, steps)) % n for j in elements)
+    steps = disc._row(a.coords) @ disc.bilinear_int % n  # N b(a, e_k)
+    counts = Counter()
+    for rows in disc._radix.slabs():
+        phases = (-(rows @ steps) % n).tolist()
+        counts.update(phases)  # new keys go in at their first occurrence
     return PhaseSum(Counter({Fraction(m, n): c for m, c in counts.items()}))
 
 
@@ -284,6 +260,14 @@ class MappingClassReport:
         return max(self.s4_deviation, self.st3_deviation,
                    self.s2_is_charge_conjugation,
                    self.unitarity_deviation) < 1e-9
+
+    @property
+    def framing_phase(self) -> complex:
+        return np.exp(-2j * np.pi * self.signature / 24)
+
+    def framed_T(self) -> np.ndarray:
+        """T with the framing factor folded in; (S framed_T)^3 = S^2."""
+        return self.T * self.framing_phase
 
 
 def genus1_mcg_rep(disc: DiscriminantGroup) -> MappingClassReport:

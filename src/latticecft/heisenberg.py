@@ -9,10 +9,12 @@ form, which antisymmetrizes to S; on 2-torsion this distinction matters,
 since the commutator of the (X, phase) product is 2S while the commutant
 structure of the representations is governed by S itself.
 
-Representations compute on one integer grid: an element of H1(S; A) is a
-row of rank * k ints (k invariant factors per slot), and its position is
-the mixed-radix index of that row, which is its place in `enumerate_h1`.
-Each representation holds one integer monomial map from such a row to a
+Representations compute on the integer rows of H1(S; A) = A^rank: an
+element is a row of rank * k ints (k invariant factors per slot), and its
+position is the index the mixed-radix indexer of `lattices` gives that
+row, which is its place in `enumerate_h1`.  Subgroups, cosets and
+splittings are sets of such positions with integer phases.  Each
+representation holds one integer monomial map from a row to a
 permutation array and a phase array mod M; `monomial` reads it back as
 exact tuples and `Fraction`s.  Commutant and intertwiner dimensions are
 exact integers from the character pairing of Stone-von Neumann; floats
@@ -37,7 +39,7 @@ from .errors import (
     NotIsotropic,
 )
 from .exact import PhaseSum
-from .lattices import DENSE_ENTRY_BUDGET, DiscriminantGroup, _within_budget
+from .lattices import DENSE_ENTRY_BUDGET, DiscriminantGroup, _MixedRadix, _within_budget
 from .surfaces import IntersectionForm, Surface
 
 Coords = tuple[tuple[int, ...], ...]
@@ -103,45 +105,21 @@ def _units(form: IntersectionForm, slots) -> list[Coords]:
             for k in slots for g in form.disc.generators()]
 
 
+def _h1_grid(form: IntersectionForm, limit: int = 2 ** 62) -> _MixedRadix:
+    """H1(S; A) = A^rank on the mixed-radix indexer."""
+    return _MixedRadix(form.disc.invariant_factors, form.rank, limit)
+
+
 def enumerate_h1(form: IntersectionForm) -> list[Coords]:
     """All of H1(S; A) in lexicographic order."""
-    grid = _Grid(form.disc, form.rank, H1_LIMIT)
+    grid = _h1_grid(form, H1_LIMIT)
     return grid.coords(grid.rows(np.arange(grid.size)))
 
 
-# ---------------------------------------------------------------------------
-# the integer grid
-
-
-class _Grid:
-    """`slots` copies of A as rows of slots * k ints.  A row's position is
-    its mixed-radix index, the lexicographic order of `enumerate_h1`."""
-
-    def __init__(self, disc: DiscriminantGroup, slots: int, limit: int = 2 ** 62):
-        self.size = disc.order ** slots
-        if self.size > limit:
-            raise GroupTooLarge(f"{self.size} elements")
-        radices = disc.invariant_factors * slots
-        self.slots, self.k = slots, len(disc.invariant_factors)
-        self.radices = np.array(radices, dtype=np.int64)
-        self.strides = np.array([math.prod(radices[j + 1:]) for j in range(len(radices))],
-                                dtype=np.int64)
-
-    def index(self, rows) -> np.ndarray:
-        """Positions of rows (last axis), reduced mod the radices."""
-        return (rows % self.radices) @ self.strides
-
-    def rows(self, index) -> np.ndarray:
-        return np.asarray(index)[..., None] // self.strides % self.radices
-
-    def coords(self, rows) -> list[Coords]:
-        k = self.k
-        return [tuple(tuple(r[s * k:(s + 1) * k]) for s in range(self.slots))
-                for r in rows.tolist()]
-
-
-def _row(x: Coords) -> np.ndarray:
-    return np.array([c for a in x for c in a], dtype=np.int64)
+def _positions(grid: _MixedRadix, elements) -> np.ndarray:
+    """Grid positions of elements given as coordinate tuples."""
+    rows = np.array(elements, dtype=np.int64).reshape(len(elements), len(grid.radices))
+    return grid.index(rows)
 
 
 def _phase_sum(counts: np.ndarray, m: int) -> PhaseSum:
@@ -179,11 +157,11 @@ class UnitaryRep:
         self.support = support
         self.description = description
         self.chi = chi
-        self._grid = _Grid(form.disc, form.rank)
+        self._grid = _h1_grid(form)
 
     # monomial data: permutation m and phases alpha, exact
     def monomial(self, x: Coords):
-        perm, alpha = self._monomial(_row(x))
+        perm, alpha = self._monomial(self.form._row(x))
         m = self.modulus
         return tuple(perm.tolist()), tuple(Fraction(a, m) for a in alpha.tolist())
 
@@ -198,7 +176,7 @@ class UnitaryRep:
             coords, phase = x.X, x.phase
         else:
             coords, phase = x, Fraction(0)
-        perm, alpha = self._monomial(_row(coords))
+        perm, alpha = self._monomial(self.form._row(coords))
         # one scalar evaluation of the exact phase per distinct residue
         residues, inverse = np.unique(alpha, return_inverse=True)
         extra, modulus = float(self.central_character(phase)), self.modulus
@@ -216,7 +194,7 @@ class UnitaryRep:
         return np.bincount(fixed, minlength=m)
 
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        return _phase_sum(self._histogram(_row(x), self.modulus), self.modulus)
+        return _phase_sum(self._histogram(self.form._row(x), self.modulus), self.modulus)
 
     def generator_elements(self) -> list[HeisenbergElement]:
         return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
@@ -278,7 +256,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     _within_budget(genus * disc.order ** min(genus, DENSE_ENTRY_BUDGET.bit_length()),
                    f"the genus-{genus} Schroedinger basis")
     form = IntersectionForm.closed_genus(disc, genus)
-    basis = _Grid(disc, genus)
+    basis = _MixedRadix(disc.invariant_factors, genus)
     dim, k, n = basis.size, basis.k, disc.exponent
     points = basis.rows(np.arange(dim))
     table, chi_n = disc.bilinear_int, chi % n
@@ -292,7 +270,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     # traces vanish off the a-cycle span: any b-shift moves every basis point
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
     span[:, :, 0] = points.reshape(dim, genus, k)
-    support = _Grid(disc, 2 * genus).index(span.reshape(dim, -1))
+    support = _h1_grid(form).index(span.reshape(dim, -1))
     return UnitaryRep(form, dim, mono, n, support,
                       f"schroedinger(genus={genus}, |A|={disc.order})", chi)
 
@@ -301,7 +279,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
 # subgroups, splittings, induction
 
 
-def _extend_subgroup(grid: _Grid, subgroup: frozenset, x: int) -> frozenset:
+def _extend_subgroup(grid: _MixedRadix, subgroup: frozenset, x: int) -> frozenset:
     """<H, x> for a subgroup H of an abelian group, as grid positions: the
     union of the cosets j*x + H."""
     rows = grid.rows(list(subgroup))
@@ -313,31 +291,31 @@ def _extend_subgroup(grid: _Grid, subgroup: frozenset, x: int) -> frozenset:
     return frozenset(out)
 
 
-def _closure(grid: _Grid, generators) -> np.ndarray:
+def _closure(grid: _MixedRadix, generators) -> np.ndarray:
     """Sorted grid positions of the subgroup the generator coords span."""
     sub = frozenset({0})
-    for g in generators:
-        g = g.X if isinstance(g, HeisenbergElement) else g
-        sub = _extend_subgroup(grid, sub, int(grid.index(_row(g))))
+    generators = [g.X if isinstance(g, HeisenbergElement) else g for g in generators]
+    for g in _positions(grid, generators).tolist():
+        sub = _extend_subgroup(grid, sub, g)
     return np.array(sorted(sub), dtype=np.int64)
 
 
 def subgroup_closure(form: IntersectionForm, generators) -> list[Coords]:
     """Subgroup of H1(S; A) generated by the given elements, sorted."""
-    grid = _Grid(form.disc, form.rank)
+    grid = _h1_grid(form)
     return grid.coords(grid.rows(_closure(grid, generators)))
 
 
 def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
     """S vanishes on every pair of the elements: one integer product."""
-    n, c = form.disc.exponent, form.cocycle_int
-    b = np.array(subgroup, dtype=np.int64).reshape(len(subgroup), len(c))
-    return not np.any(b @ (c - c.T) % n @ b.T % n)
+    n, p = form.disc.exponent, form.pairing_int
+    b = np.array(subgroup, dtype=np.int64).reshape(len(subgroup), len(p))
+    return not np.any(b @ p % n @ b.T % n)
 
 
 def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     """All subgroups of H1(S; A), each as a sorted element list."""
-    grid = _Grid(form.disc, form.rank, SUBGROUP_LIMIT)
+    grid = _h1_grid(form, SUBGROUP_LIMIT)
     trivial = frozenset({0})
     seen = {trivial}
     frontier = [trivial]
@@ -368,66 +346,61 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
 
     Built by extending one cyclic step at a time; the wrap-around phase of
     each new generator fixes its value up to a k-th root, resolved
-    deterministically (or taken from `assigned` and checked).
+    deterministically (or taken from `assigned` and checked).  Every
+    assigned value is checked, against the wrap phase where it is a new
+    generator's and against the forced value elsewhere; chi(0) = 0.
     """
-    def psi(x, y):
-        return (chi * form.cocycle(x, y)) % 1
-
-    zero = form.zero()
-    table: dict[Coords, Fraction] = {zero: Fraction(0)}
-    members = set(subgroup)
-    pool = [x for x in subgroup if x != zero]
-    if assigned:
-        for x in assigned:
-            if x not in members:
-                raise NotASplitting(f"assigned element {x} is not in the subgroup")
-        pool.sort(key=lambda x: (x not in assigned, x))
-    for x in pool:
-        if x in table:
-            if assigned and x in assigned and table[x] != assigned[x] % 1:
+    grid, n = _h1_grid(form), form.disc.exponent
+    positions = _positions(grid, subgroup).tolist()
+    given = dict(zip(positions, subgroup))
+    where = {x: p for p, x in given.items()}
+    values = {}
+    for x, v in (assigned or {}).items():
+        if x not in where:
+            raise NotASplitting(f"assigned element {x} is not in the subgroup")
+        values[where[x]] = Fraction(v) % 1
+    if values.get(0, 0) != 0:
+        raise NotASplitting(f"value {values[0]} for the identity is not 0")
+    pool = [p for p in positions if p != 0]
+    if values:
+        pool.sort(key=lambda p: (p not in values, p))
+    # integer phases mod M = N |B|: each cyclic step divides a wrap phase
+    # by its order k, and the orders multiply to |B|
+    big_m, u, chi, table = n * len(given), len(given), chi % n, {0: 0}
+    for p in pool:
+        if p in table:
+            if p in values and Fraction(table[p], big_m) != values[p]:
                 raise NotASplitting(
-                    f"value {assigned[x]} for {x} contradicts the values "
+                    f"value {values[p]} for {given[p]} contradicts the values "
                     f"already forced by earlier generators")
             continue
-        # order k of x modulo the part already covered, and the wrap phase
-        # sum_(0<j<k) psi(j x, x)
-        k, acc, wrap = 1, x, Fraction(0)
-        while acc not in table:
-            wrap += psi(acc, x)
-            acc = form.add(acc, x)
-            k += 1
-        need = (table[acc] - wrap) % 1  # acc = k*x, already assigned
-        value = Fraction(need.numerator, need.denominator * k)
-        if assigned and x in assigned:
-            if (k * assigned[x] - need) % 1 != 0:
+        x = grid.rows(p)
+        cx = x @ form.cocycle_int % n  # N c(x, .)
+        cxx = int(cx @ x % n)
+        # order k of x modulo the part already covered; the wrap phase
+        # sum_(0<j<k) c(j x, x) is c(x, x) k (k - 1) / 2
+        k, acc = 1, x
+        while (q := int(grid.index(acc))) not in table:
+            acc, k = acc + x, k + 1
+        need = (table[q] - chi * cxx * (k * (k - 1) // 2) % n * u) % big_m
+        if p in values:
+            if (k * values[p] - Fraction(need, big_m)) % 1:
                 raise NotASplitting(
-                    f"value {assigned[x]} for {x} is inconsistent with its "
+                    f"value {values[p]} for {given[p]} is inconsistent with its "
                     f"order-{k} wrap phase")
-            value = assigned[x] % 1
-        new_table = dict(table)
-        power_phase = Fraction(0)
-        power = zero
+            value = int(values[p] * big_m)
+        else:
+            value = need // k
+        # chi(m x + h) = m value + c(x, x) m (m - 1) / 2 + chi(h) + m c(x, h)
+        h, chi_h = grid.rows(list(table)), np.array(list(table.values()))
+        cxh = cx @ h.T % n
         for m in range(1, k):
-            power_phase = (power_phase + value + psi(power, x)) % 1
-            power = form.add(power, x)
-            for h, ph in table.items():
-                new_table[form.add(power, h)] = (power_phase + ph + psi(power, h)) % 1
-        table = new_table
-    if set(table) != members:
+            power = (m * value + chi * cxx * (m * (m - 1) // 2) % n * u) % big_m
+            phases = (power + chi_h + m * cxh % n * chi % n * u) % big_m
+            table.update(zip(grid.index(m * x + h).tolist(), phases.tolist()))
+    if set(table) != set(given):
         raise NotASplitting("generators do not span the subgroup")
-    return table
-
-
-def validate_splitting(form: IntersectionForm, subgroup: list[Coords],
-                       table: dict[Coords, Fraction], chi: int = 1) -> None:
-    for x in subgroup:
-        if x not in table:
-            raise NotASplitting(f"no value for {x}")
-        for y in subgroup:
-            lhs = table[form.add(x, y)]
-            rhs = (table[x] + table[y] + chi * form.cocycle(x, y)) % 1
-            if lhs != rhs:
-                raise NotASplitting(f"fails at {x}, {y}")
+    return {x: Fraction(table[p], big_m) for p, x in given.items()}
 
 
 def induce_from_isotropic(form: IntersectionForm, generators,
@@ -436,27 +409,21 @@ def induce_from_isotropic(form: IntersectionForm, generators,
 
     Functions on the coset space B\\H1 carry the action
     (rho(Y, p) f)(t) = e^(2 pi i (p + c(r_t, Y) - chi(b) - c(b, r_t')))
-    f(t') where r_t + Y = b + r_t'.  Dimension |H1| / |B|.
+    f(t') where r_t + Y = b + r_t'.  Dimension |H1| / |B|.  A splitting
+    that covers B is restricted to B; either way `canonical_splitting`
+    checks every given value.
     """
     disc = form.disc
-    gens = [g.X if isinstance(g, HeisenbergElement) else tuple(g)
-            for g in generators]
+    gens = [g.X if isinstance(g, HeisenbergElement) else tuple(g) for g in generators]
     # the pairing is bilinear, so generator pairs decide isotropy
     if not is_isotropic(form, gens):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
-    grid = _Grid(disc, form.rank, limit=H1_LIMIT)
+    grid = _h1_grid(form, H1_LIMIT)
     members = _closure(grid, gens)
     subgroup = grid.coords(grid.rows(members))
-    if splitting is None:
-        table = canonical_splitting(form, subgroup)
-    elif set(splitting) >= set(subgroup):
-        table = {x: splitting[x] % 1 for x in subgroup}
-        validate_splitting(form, subgroup, table)
-    else:
-        table = canonical_splitting(form, subgroup,
-                                    assigned={k: Fraction(v) % 1
-                                              for k, v in splitting.items()})
-        validate_splitting(form, subgroup, table)
+    if splitting is not None and set(splitting) >= set(subgroup):
+        splitting = {x: splitting[x] for x in subgroup}
+    table = canonical_splitting(form, subgroup, assigned=splitting)
     # 2-torsion gives splitting values finer than 1/N
     n = disc.exponent
     big_m = math.lcm(n, *(table[b].denominator for b in subgroup))

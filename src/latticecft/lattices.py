@@ -7,6 +7,10 @@ and mod 2 are read back from those tables.  The discriminant group A is
 always presented in invariant-factor coordinates fixed once per lattice
 by a Smith normal form of the Gram matrix, so element iteration and all
 derived matrices are deterministic.
+
+It is also the one place that indexes A^m: `_MixedRadix` maps integer
+rows of m * k coordinates to their lexicographic positions and back, in
+`elements()` order at m = 1, for every layer that sums or lists over A^m.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -26,13 +31,21 @@ from .exact import det_int
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-# Most entries a call may build: |A| (Gauss sum), |A|^2 (S, T, C), |A|^3 (fusion).
+# Most entries a call may build: |A| (Gauss sum), |A|^2 (S, T, C), |A|^3
+# (fusion), |A|^k (the factorization sum over k gluing circles).
 DENSE_ENTRY_BUDGET = 2 ** 24
+SLAB = 2 ** 16  # rows per block when a sum runs over all of A^m
 
 
 def _within_budget(entries: int, what: str) -> None:
     if entries > DENSE_ENTRY_BUDGET:
         raise GroupTooLarge(f"{what} needs {entries} entries, over {DENSE_ENTRY_BUDGET}")
+
+
+def _read(x, table, y, n: int) -> Fraction:
+    """x table y / n mod 1 for integer rows; each product is reduced mod n,
+    so int64 tables never overflow."""
+    return Fraction(int(x @ table % n @ y % n), n)
 
 
 def _as_int_matrix(gram) -> IntMatrix:
@@ -186,6 +199,46 @@ def _snf_with_inverse(m: IntMatrix):
             tuple(tuple(r) for r in v), tuple(tuple(r) for r in uinv))
 
 
+class _MixedRadix:
+    """`copies` copies of A = prod Z/d_i as integer rows of copies * k
+    coordinates.  A row's position is its mixed-radix index: the
+    lexicographic order of A^m, which at one copy is `elements()`."""
+
+    def __init__(self, factors: tuple[int, ...], copies: int = 1, limit: int = 2 ** 62):
+        radices = tuple(factors) * copies
+        self.size = math.prod(radices)
+        if self.size > limit:
+            raise GroupTooLarge(f"{self.size} elements")
+        self.copies, self.k = copies, len(factors)
+        self.radices = np.array(radices, dtype=np.int64)
+        self.strides = np.array([math.prod(radices[j + 1:]) for j in range(len(radices))],
+                                dtype=np.int64)
+
+    def index(self, rows) -> np.ndarray:
+        """Positions of rows (last axis), reduced mod the radices."""
+        return (rows % self.radices) @ self.strides
+
+    def rows(self, index) -> np.ndarray:
+        return np.asarray(index)[..., None] // self.strides % self.radices
+
+    def coords(self, rows) -> list[tuple[tuple[int, ...], ...]]:
+        """Rows as tuples of `copies` coordinate tuples."""
+        k = self.k
+        return [tuple(tuple(r[s * k:(s + 1) * k]) for s in range(self.copies))
+                for r in rows.tolist()]
+
+    def slabs(self):
+        """All rows in position order, at most SLAB at a time."""
+        yield self._head
+        for start in range(SLAB, self.size, SLAB):
+            yield self.rows(np.arange(start, min(start + SLAB, self.size)))
+
+    @cached_property
+    def _head(self) -> np.ndarray:
+        """The first slab, kept: it is all of a small group."""
+        return self.rows(np.arange(min(self.size, SLAB)))
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element of a discriminant group in invariant-factor coordinates."""
@@ -231,7 +284,6 @@ class DiscriminantGroup:
         dtype = np.int64 if n <= DENSE_ENTRY_BUDGET else object  # such |A| build no table
         self.bilinear_int = np.array(bil, dtype=dtype).reshape(k, k)
         self.quadratic_int = np.array(quad, dtype=dtype)
-        self._bil_rows = bil  # the same table as Python ints, for per-element sums
         # exact views of the same tables: b mod 1 and q mod 2
         self.bilinear_matrix: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(Fraction(m, n) for m in row) for row in bil)
@@ -256,25 +308,22 @@ class DiscriminantGroup:
             yield GroupElement(coords)
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement(self.add_coords(a.coords, b.coords))
+        return GroupElement(self.reduce(tuple(map(operator.add, a.coords, b.coords))))
 
     def neg(self, a: GroupElement) -> GroupElement:
-        return GroupElement(self.neg_coords(a.coords))
+        return GroupElement(self.reduce(tuple(-x for x in a.coords)))
 
-    def add_coords(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
-
-    def neg_coords(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
+    @cached_property
+    def _radix(self) -> _MixedRadix:
+        return _MixedRadix(self.invariant_factors)
 
     def coordinates(self) -> np.ndarray:
         """order x k array of element coordinates in elements() order."""
-        return np.indices(self.invariant_factors).reshape(-1, self.order).T
+        return self._radix.rows(np.arange(self.order))
 
     def index(self, coords) -> np.ndarray:
         """elements() positions of coordinate rows (last axis), reduced mod d_i."""
-        return np.ravel_multi_index(np.moveaxis(coords, -1, 0), self.invariant_factors,
-                                    mode="wrap").reshape(np.shape(coords)[:-1])
+        return self._radix.index(coords)
 
     def generators(self) -> tuple[GroupElement, ...]:
         k = len(self.invariant_factors)
@@ -296,26 +345,19 @@ class DiscriminantGroup:
         return self.bilinear_coords(a.coords, b.coords)
 
     def bilinear_coords(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        return Fraction(self._bilinear_scaled(a, b), self.exponent)
+        """b(a, b) mod 1 from N b(a, b) = a bilinear_int b mod N."""
+        return _read(self._row(a), self.bilinear_int, self._row(b), self.exponent)
 
-    def _bilinear_scaled(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """N b(a, b) mod N, N the exponent.  Private like the other
-        per-element sums: perfbench/tracer.py times each public method
-        call as a span."""
-        s = 0
-        for x, row in zip(a, self._bil_rows):
-            if x:
-                s += x * sum(map(operator.mul, row, b))
-        return s % self.exponent
+    def _row(self, coords) -> np.ndarray:
+        """Reduced coordinates as one row of the tables' dtype."""
+        return np.array(self.reduce(tuple(coords)), dtype=self.bilinear_int.dtype)
 
     def quadratic(self, a: GroupElement) -> Fraction:
         """q(a) mod 2, from N q(a) = sum_i a_i^2 N q_i + 2 sum_(i<j) a_i a_j N b_ij."""
-        c, rows, s = a.coords, self._bil_rows, 0
-        for i, x in enumerate(c):
-            if x:
-                s += x * (x * int(self.quadratic_int[i])
-                          + 2 * sum(map(operator.mul, rows[i][i + 1:], c[i + 1:])))
-        return Fraction(s % (2 * self.exponent), self.exponent)
+        n, r = self.exponent, self._row(a.coords)
+        s = (r * r % (2 * n) @ self.quadratic_int
+             + 2 * (r @ np.triu(self.bilinear_int, 1) % n @ r))
+        return Fraction(int(s % (2 * n)), n)
 
     def quadratic_values(self) -> np.ndarray:
         """N q(a) mod 2N in elements() order; no order x k array is built."""

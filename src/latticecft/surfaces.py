@@ -7,7 +7,8 @@ handled through a fixed basis per component: symplectic cycle pairs
 a1, b1, ..., ag, bg followed by boundary-parallel classes for all but
 the last boundary circle.  The intersection pairing on H1(S; A) is the
 geometric intersection form tensored with the discriminant bilinear
-form, valued in rationals mod 1.
+form, valued in rationals mod 1, read from integer tables on elements
+flattened to rows of the mixed-radix indexer in `lattices`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MissingLabel, OrientationMismatch, UnknownCircle
-from .lattices import DiscriminantGroup, GroupElement
+from .lattices import DiscriminantGroup, GroupElement, _read
 
 OUT = "out"
 IN = "in"
@@ -185,7 +186,8 @@ class IntersectionForm:
     slots.  A fixed 'polarized' integer cocycle P with P - P^T equal to
     the geometric intersection matrix backs the unitary representations.
     `cocycle_int` = P (x) `bilinear_int` is N c on elements flattened to
-    rank * k ints: N c(x, y) = x cocycle_int y mod N.
+    rank * k ints: N c(x, y) = x cocycle_int y mod N, and `pairing_int`,
+    its antisymmetrization mod N, is N S the same way.
     """
 
     def __init__(self, surface: Surface, disc: DiscriminantGroup):
@@ -205,10 +207,10 @@ class IntersectionForm:
                         j[k][l] = 1
                         j[l][k] = -1
         self.J: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in j)
-        self._upper = tuple((k, l) for k in range(n) for l in range(k + 1, n)
-                            if j[k][l] == 1)
         self.cocycle_int = np.kron(np.array(j, dtype=np.int64).reshape(n, n) == 1,
                                    disc.bilinear_int)
+        self.pairing_int = (self.cocycle_int - self.cocycle_int.T) % disc.exponent
+        self._radices = np.array(disc.invariant_factors * n, dtype=disc.bilinear_int.dtype)
 
     @property
     def rank(self) -> int:
@@ -220,27 +222,28 @@ class IntersectionForm:
 
     def pairing(self, x, y) -> Fraction:
         """S(x, y) = sum over slots of intersection number times bilinear,
-        which is c(x, y) - c(y, x)."""
-        n, c = self.disc.exponent, self._cocycle_scaled
-        return Fraction((c(x, y) - c(y, x)) % n, n)
+        which is c(x, y) - c(y, x): one row product with `pairing_int`."""
+        return _read(self._row(x), self.pairing_int, self._row(y), self.disc.exponent)
 
     def cocycle(self, x, y) -> Fraction:
         """Bilinear cocycle c with c(x,y) - c(y,x) = S(x,y); the defining
         2-cocycle of the unitary realizations."""
-        return Fraction(self._cocycle_scaled(x, y), self.disc.exponent)
+        return _read(self._row(x), self.cocycle_int, self._row(y), self.disc.exponent)
 
-    def _cocycle_scaled(self, x, y) -> int:
-        """N c(x, y) mod N, N the exponent of A."""
-        blin = self.disc._bilinear_scaled
-        return sum(blin(x[k], y[l]) for k, l in self._upper) % self.disc.exponent
+    def _row(self, x) -> np.ndarray:
+        """x flattened to one row of rank * k ints, reduced."""
+        return np.array([c for a in x for c in a], dtype=self._radices.dtype) % self._radices
+
+    def _coords(self, row) -> tuple[tuple[int, ...], ...]:
+        k = len(self.disc.invariant_factors)
+        row = (row % self._radices).tolist()
+        return tuple(tuple(row[s * k:(s + 1) * k]) for s in range(self.rank))
 
     def add(self, x, y):
-        add = self.disc.add_coords
-        return tuple(add(a, b) for a, b in zip(x, y))
+        return self._coords(self._row(x) + self._row(y))
 
     def neg(self, x):
-        neg = self.disc.neg_coords
-        return tuple(neg(a) for a in x)
+        return self._coords(-self._row(x))
 
     @staticmethod
     def closed_genus(disc: DiscriminantGroup, genus: int) -> "IntersectionForm":
@@ -277,17 +280,17 @@ class BlockLabel:
 def delta_obstruction(s: Surface, labels: BlockLabel,
                       disc: DiscriminantGroup) -> tuple[GroupElement, ...]:
     """Per component, the signed sum of boundary labels: outgoing counts
-    positive, incoming negative."""
+    positive, incoming negative.  The integer row is reduced once."""
     out = []
     for comp in s.components:
-        acc = disc.zero.coords
+        total = [0] * len(disc.invariant_factors)
         for circle in comp.boundaries:
             lab = labels.get(circle.id)
             if lab is None:
                 raise MissingLabel(f"no label for circle {circle.id!r}")
-            c = lab.coords if circle.orientation == OUT else disc.neg_coords(lab.coords)
-            acc = disc.add_coords(acc, c)
-        out.append(GroupElement(acc))
+            sign = 1 if circle.orientation == OUT else -1
+            total = [t + sign * c for t, c in zip(total, lab.coords)]
+        out.append(disc.element(total))
     return tuple(out)
 
 

@@ -5,7 +5,8 @@ Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
 raw summation, state counts by explicit enumeration, modular data one
 entry at a time from the lifts and the Gram matrix, Heisenberg commutant
-and Hom dimensions as float character sums.
+and Hom dimensions as float character sums, the factorization sum as a
+tuple loop over label assignments.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from latticecft.blocks import block_dimension
-from latticecft.surfaces import IN, OUT, BlockLabel, Surface
+from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
 
 
 def laplace_det(m) -> int:
@@ -345,3 +346,57 @@ def float_character_pairing(traces1, traces2, order) -> float:
     when both are one representation's traces, else the Hom dimension of
     two representations with the same central character."""
     return abs(sum(a * b.conjugate() for a, b in zip(traces1, traces2))) / order
+
+
+def _add_coords(disc, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, disc.invariant_factors))
+
+
+def _neg_coords(disc, a):
+    return tuple((-x) % d for x, d in zip(a, disc.invariant_factors))
+
+
+def reference_factorization(s, pieces, matching, labels, disc, keep_terms=False):
+    """(lhs, rhs, terms) of the factorization identity by a loop over the
+    label assignments as coordinate tuples, one group-law step at a time."""
+    glued = glue(pieces[0], pieces[1] if len(pieces) == 2 else None, matching)
+    assert glued.component_signature() == s.component_signature()
+    lhs = block_dimension(s, labels, disc)
+    match_slot = {}
+    for idx, (out_id, in_id) in enumerate(matching):
+        match_slot[out_id] = idx
+        match_slot[in_id] = idx
+    comp_data = []
+    for piece in pieces:
+        for comp in piece.components:
+            const = disc.zero.coords
+            hooks = []
+            for circle in comp.boundaries:
+                sign = 1 if circle.orientation == OUT else -1
+                if circle.id in match_slot:
+                    hooks.append((match_slot[circle.id], sign))
+                else:
+                    lam = labels.get(circle.id)
+                    coords = lam.coords if sign > 0 else _neg_coords(disc, lam.coords)
+                    const = _add_coords(disc, const, coords)
+            comp_data.append((const, tuple(hooks), disc.order ** comp.genus))
+
+    elements = [a.coords for a in disc.elements()]
+    rhs = 0
+    terms = []
+    for assignment in itertools.product(elements, repeat=len(matching)):
+        term = 1
+        for const, hooks, weight in comp_data:
+            acc = const
+            for idx, sign in hooks:
+                lam = assignment[idx]
+                acc = _add_coords(disc, acc, lam if sign > 0
+                                  else _neg_coords(disc, lam))
+            if any(acc):
+                term = 0
+                break
+            term *= weight
+        rhs += term
+        if keep_terms:
+            terms.append((assignment, term))
+    return lhs, rhs, tuple(terms)

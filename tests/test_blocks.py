@@ -10,7 +10,6 @@ from latticecft.blocks import (
     charge_conjugation,
     fusion_rules,
     genus1_mcg_rep,
-    modular_data,
     modular_relations,
     s_matrix,
     t_matrix,
@@ -26,12 +25,21 @@ from latticecft.lattices import (
     signature_mod8,
     validate_even_lattice,
 )
-from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
+from latticecft.surfaces import (
+    IN,
+    OUT,
+    BlockLabel,
+    BoundaryCircle,
+    Component,
+    Surface,
+    glue,
+)
 from oracles import (
     entrywise_charge_conjugation,
     entrywise_s_matrix,
     entrywise_t_matrix,
     pants_fusion_tensor,
+    reference_factorization,
 )
 
 
@@ -178,6 +186,80 @@ class TestFactorization:
             assert rep.equal
 
 
+REFERENCE_GRAMS = {
+    "a1": [[2]],
+    "a2": [[2, 1], [1, 2]],
+    "d4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "e8": E8_GRAM,  # no invariant factors
+    "z2z8": [[2, 0], [0, 8]],  # two factors
+    "z2z4": [[2, 0], [0, 4]],
+}
+
+
+def random_reference_split(rng, disc, k):
+    """(target, pieces, matching, labels) with k gluing pairs spread over
+    one or two pieces of one or two components each, so that some
+    components carry labels only; free labels are balanced per target
+    component half of the time."""
+    matching = [(f"go{i}", f"gi{i}") for i in range(k)]
+    circles = ([(o, OUT) for o, _ in matching] + [(i, IN) for _, i in matching]
+               + [(f"f{i}", rng.choice((OUT, IN))) for i in range(rng.randint(0, 4))])
+    slots = [(p, c) for p in range(rng.randint(1, 2)) for c in range(rng.randint(1, 2))]
+    placed = {slot: [] for slot in slots}
+    for circle in circles:
+        placed[rng.choice(slots)].append(circle)
+    pieces = tuple(
+        Surface(tuple(Component(rng.randint(0, 2), tuple(BoundaryCircle(*c) for c in placed[slot]))
+                      for slot in slots if slot[0] == p))
+        for p in sorted({p for p, _ in slots}))
+    target = glue(pieces[0], pieces[1] if len(pieces) == 2 else None, matching)
+    factors = disc.invariant_factors
+    labels = {}
+    for comp in target.components:
+        total = [0] * len(factors)
+        for i, circle in enumerate(comp.boundaries):
+            sign = 1 if circle.orientation == OUT else -1
+            if i == len(comp.boundaries) - 1 and rng.random() < 0.5:
+                coords = tuple((-sign * t) % d for t, d in zip(total, factors))
+            else:
+                coords = tuple(rng.randrange(d) for d in factors)
+            total = [t + sign * c for t, c in zip(total, coords)]
+            labels[circle.id] = disc.element(coords)
+    return target, pieces, matching, BlockLabel.from_dict(labels)
+
+
+class TestFactorizationReference:
+    """verify_factorization against the tuple loop of oracles.py: lhs, rhs
+    and every term in assignment order."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRAMS))
+    def test_random_splits(self, name):
+        disc = disc_of(REFERENCE_GRAMS[name])
+        rng = random.Random(name)
+        for trial in range(175):
+            k = trial % 4 if disc.order < 16 else trial % 3
+            target, pieces, matching, labels = random_reference_split(rng, disc, k)
+            rep = verify_factorization(target, pieces, matching, labels, disc,
+                                       keep_terms=True)
+            want = reference_factorization(target, pieces, matching, labels, disc,
+                                           keep_terms=True)
+            assert (rep.lhs, rep.rhs, rep.terms) == want, (name, trial)
+            assert rep.equal
+
+    def test_empty_matching_disconnected(self, z3):
+        # k = 0: one assignment, the empty one; the second piece has labels only
+        p1 = Surface.connected(1, [("a", OUT), ("b", IN)])
+        p2 = Surface.connected(0, [("c", IN)])
+        for a, b, c in itertools.product(range(3), repeat=3):
+            labels = BlockLabel.from_dict({"a": z3.element((a,)), "b": z3.element((b,)),
+                                           "c": z3.element((c,))})
+            target = p1.disjoint_union(p2)
+            rep = verify_factorization(target, (p1, p2), [], labels, z3, keep_terms=True)
+            want = reference_factorization(target, (p1, p2), [], labels, z3, keep_terms=True)
+            assert (rep.lhs, rep.rhs, rep.terms) == want
+            assert rep.terms == (((), rep.rhs),)
+
+
 class TestModularData:
     def test_z2_matrices(self, z2):
         s = s_matrix(z2)
@@ -213,15 +295,10 @@ class TestModularData:
 
     def test_framed_t_gives_plain_sl2z(self, bundled):
         for name, (lat, disc) in bundled.items():
-            md = modular_data(lat, disc)
-            st = md.S @ md.framed_T()
+            rep = genus1_mcg_rep(disc)
+            st = rep.S @ rep.framed_T()
             st3 = st @ st @ st
-            assert np.allclose(st3, md.S @ md.S, atol=1e-9), name
-
-    def test_central_charge_metadata(self, bundled):
-        lat, disc = bundled["a1"]
-        md = modular_data(lat, disc)
-        assert md.central_charge_exponent == 2  # level 2, rank 1
+            assert np.allclose(st3, rep.S @ rep.S, atol=1e-9), name
 
     def test_s_symmetric_unitary(self, bundled):
         for name, (lat, disc) in bundled.items():

@@ -97,6 +97,30 @@ class TestFactorize:
         assert rep["results"]["equal"] is True
         assert len(rep["results"]["terms"]) == 2
 
+    @staticmethod
+    def three_circle_argv(lattice):
+        """A genus-3 closed surface from a sphere with three glued pairs."""
+        circles = [{"id": f"{d}{i}", "orientation": o} for i in range(3)
+                   for d, o in (("o", "out"), ("i", "in"))]
+        piece = {"components": [{"genus": 0, "boundaries": circles}]}
+        return ["factorize", "--surface", '{"components":[{"genus":3,"boundaries":[]}]}',
+                "--pieces", json.dumps([piece]),
+                "--matching", json.dumps([[f"o{i}", f"i{i}"] for i in range(3)]),
+                "--lattice", lattice]
+
+    def test_sum_over_budget_is_refused(self):
+        # 512^3 label assignments, over DENSE_ENTRY_BUDGET
+        proc = invoke_process(self.three_circle_argv("[[512]]"))
+        assert proc.returncode == 2
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["error_kind"] == "GroupTooLarge"
+
+    def test_sum_at_budget_is_answered(self):
+        # 256^3 = 2^24 label assignments, summed in bounded slabs
+        code, rep = invoke(self.three_circle_argv("[[256]]"))
+        assert code == 0
+        assert rep["results"] == {"lhs": 256 ** 3, "rhs": 256 ** 3, "equal": True}
+
     def test_invalid_split_error(self):
         genus2 = '{"components":[{"genus":2,"boundaries":[]}]}'
         code, rep = invoke(["factorize", "--surface", genus2,
@@ -241,7 +265,7 @@ class TestGoldenReports:
                             "reports.txt")
         with open(path, "rb") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert len(lines) == 10
+        assert len(lines) == 16
         for argv_line, report in zip(lines[0::2], lines[1::2]):
             assert render_report(json.loads(argv_line)) == report, argv_line
 

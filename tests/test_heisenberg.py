@@ -322,6 +322,21 @@ class TestInduction:
         with pytest.raises(NotASplitting):
             induce_from_isotropic(form, [gen], splitting={gen: Fraction(1, 3)})
 
+    def test_assigned_value_at_zero_is_refused(self, z4):
+        # every splitting has chi(0) = 0, whether the value comes alone or
+        # inside a full table
+        form = IntersectionForm.closed_genus(z4, 1)
+        gen, zero = ((0,), (1,)), form.zero()
+        sub = subgroup_closure(form, [gen])
+        with pytest.raises(NotASplitting):
+            canonical_splitting(form, sub, assigned={zero: Fraction(1, 2)})
+        with pytest.raises(NotASplitting):
+            induce_from_isotropic(form, [gen], splitting={zero: Fraction(1, 2)})
+        full = {**canonical_splitting(form, sub), zero: Fraction(1, 2)}
+        with pytest.raises(NotASplitting):
+            induce_from_isotropic(form, [gen], splitting=full)
+        assert canonical_splitting(form, sub, assigned={zero: 1})[zero] == 0
+
     def test_splitting_property_holds(self, z4):
         form = IntersectionForm.closed_genus(z4, 1)
         sub = subgroup_closure(form, [((1,), (0,))])

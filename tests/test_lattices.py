@@ -25,6 +25,8 @@ from latticecft.lattices import (
     validate_even_lattice,
 )
 
+from latticecft.surfaces import IntersectionForm
+
 from oracles import dual_coset_enumeration, gram_pair, laplace_det
 
 
@@ -216,6 +218,41 @@ class TestDiscriminantGroup:
             d1 = discriminant_group(validate_even_lattice(gram))
             d2 = discriminant_group(validate_even_lattice(conj))
             assert d1.invariant_factors == d2.invariant_factors
+
+
+class TestOneRowReadings:
+    """bilinear, quadratic and the intersection pairing and cocycle against
+    exact Gram products of the lifts, at coordinates near the invariant
+    factors: N = 2^24 is the largest exponent with int64 tables, where
+    unreduced products reach 2^72; N = 2^24 + 2 has object tables.  An
+    int64 product that wraps mod 2^64 is still right mod a power of two,
+    so a missing reduction shows at the odd exponent 16015823, whose
+    generator has N b = 8172899 and N q = 24188722, and on two factors."""
+
+    @pytest.mark.parametrize("gram", [[[2 ** 24]], [[2 ** 24 + 2]],
+                                      [[3254, -1011], [-1011, 5236]],
+                                      [[12, 0], [0, 2 ** 24 - 4]]])
+    def test_against_lift_gram_products(self, gram):
+        lat = validate_even_lattice(gram)
+        disc = discriminant_group(lat)
+        rng = random.Random(len(str(gram)))
+        elements = [disc.element(tuple(d - 1 - rng.randrange(4) for d in disc.invariant_factors))
+                    for _ in range(6)] + [disc.element((1,) * len(disc.invariant_factors))]
+
+        def b(x, y):
+            return gram_pair(lat.gram, disc.lift(x), disc.lift(y)) % 1
+
+        for x in elements:
+            assert disc.quadratic(x) == gram_pair(lat.gram, disc.lift(x), disc.lift(x)) % 2
+            for y in elements:
+                assert disc.bilinear(x, y) == b(x, y)
+                assert disc.bilinear_coords(x.coords, y.coords) == b(x, y)
+        form = IntersectionForm.closed_genus(disc, 1)  # slots a, b
+        for _ in range(20):
+            xa, xb, ya, yb = (rng.choice(elements) for _ in range(4))
+            x, y = (xa.coords, xb.coords), (ya.coords, yb.coords)
+            assert form.cocycle(x, y) == b(xa, yb)
+            assert form.pairing(x, y) == (b(xa, yb) - b(ya, xb)) % 1
 
 
 class TestGaussSum:
