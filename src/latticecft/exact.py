@@ -68,6 +68,18 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _radical(n: int) -> int:
+    """Product of the distinct primes dividing n."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            out *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out * n if n > 1 else out
+
+
 class PhaseSum:
     """Integer combination of roots of unity, sum_q n_q * e^(2*pi*i*q).
 
@@ -98,22 +110,32 @@ class PhaseSum:
 
     def _reduced(self) -> list[int]:
         """Coordinates in the basis 1, z, ..., z^(d-1) of Q(z), z the
-        primitive root of unity of the phases' common denominator: the
+        primitive root of unity of the phases' common denominator n: the
         integer polynomial of the sum reduced modulo the cyclotomic
-        polynomial of that level."""
+        polynomial of that level.
+
+        With m = rad(n) and s = n/m, Phi_n(x) = Phi_m(x^s), so each residue
+        class r mod s reduces on its own as a polynomial in y = x^s modulo
+        Phi_m; coordinate r + k*s is coefficient k of class r."""
         terms = {q: n for q, n in self.terms.items() if n}
         level = lcm(*(q.denominator for q in terms))
         vec = [0] * level
         for q, n in terms.items():
             vec[(q.numerator * (level // q.denominator)) % level] += n
-        phi = cyclotomic_poly(level)
+        rad = _radical(level)
+        step = level // rad
+        phi = cyclotomic_poly(rad)
         d = len(phi) - 1
-        for i in range(level - 1, d - 1, -1):
-            c = vec[i]
-            if c:
-                for j, pj in enumerate(phi):
-                    vec[i - d + j] -= c * pj
-        return vec[:d]
+        out = [0] * (step * d)
+        for r in range(step):
+            cls = vec[r::step]
+            for i in range(rad - 1, d - 1, -1):
+                c = cls[i]
+                if c:
+                    for j, pj in enumerate(phi):
+                        cls[i - d + j] -= c * pj
+            out[r::step] = cls[:d]
+        return out
 
     def is_zero(self) -> bool:
         return not any(self._reduced())

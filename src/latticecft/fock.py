@@ -3,8 +3,13 @@
 Sector state spaces are pairs (dual-lattice shift, colored multipartition)
 graded by energy <x,x>/2 + |partition|; characters are integer q-series
 computed by generating functions and cross-checked against explicit state
-enumeration.  The oscillator algebra is realized on the truncated basis
-with [a_m, a_n^+] = m delta, the normalization in which the structure
+enumeration.  Energies are integer numerators over a known denominator:
+with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
+p^T G p over 2 D^2.  `minimal_norm_lift` and `enumerate_sector_states`
+compare numerators over the D their box shares, and `FockState.energy`
+builds one `Fraction`; `_lattice_offsets` still builds one `Fraction`
+norm per box point.  The oscillator algebra is realized on the truncated basis with
+[a_m, a_n^+] = m delta, the normalization in which the structure
 constants stay integral.  Bogoliubov vacuum overlaps are the finite-mode
 shadow of polarization changes: det(1 - T*T)^(1/4) against an honest
 Gaussian quadrature.
@@ -12,14 +17,19 @@ Gaussian quadrature.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import NonIntegralEnergy, NotContractive
+from .exact import det_int
 from .lattices import (
     DiscriminantGroup,
     EvenLattice,
@@ -190,25 +200,43 @@ def mode_operators(tr: ModeTruncation):
 # sector characters
 
 
+def _numerators(v) -> tuple[int, list[int]]:
+    """D, the lcm of the entries' denominators, and the integer vector D·v;
+    ints count as denominator 1."""
+    dens = [x.denominator for x in v]
+    den = lcm(*dens)
+    return den, [x.numerator * (den // d) for x, d in zip(v, dens)]
+
+
+def _form_int(gram, p) -> int:
+    """p^T G p for an integer vector p."""
+    return sum(x * sum(map(operator.mul, row, p)) for x, row in zip(p, gram))
+
+
 def _gram_quadratic(gram, v) -> Fraction:
-    r = len(gram)
-    return sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
+    den, p = _numerators(v)
+    return Fraction(_form_int(gram, p), den * den)
+
+
+def _lam_min(lat: EvenLattice) -> float:
+    return float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
 
 
 def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
                       phi: GroupElement) -> tuple[Fraction, ...]:
     """Minimal-norm dual-lattice representative of the coset phi, ties
     broken lexicographically."""
-    r = lat.rank
     lift0 = disc.lift(phi)
-    q0 = _gram_quadratic(lat.gram, lift0)
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(float(q0) / lam_min + 1e-12))) + 1 if q0 else 0
+    den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
+    q0 = _form_int(lat.gram, p0)
+    half = 0
+    if q0:  # q0 / den^2 is correctly rounded: float() of the norm
+        half = int(math.ceil(math.sqrt(q0 / (den * den) / _lam_min(lat)
+                                       + 1e-12))) + 1
     best = None
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
+    for mu in itertools.product(range(-half, half + 1), repeat=lat.rank):
         cand = tuple(l0 + m for l0, m in zip(lift0, mu))
-        q = _gram_quadratic(lat.gram, cand)
-        key = (q, cand)
+        key = (_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), cand)
         if best is None or key < best:
             best = key
     return best[1]
@@ -221,8 +249,7 @@ def _lattice_offsets(lat: EvenLattice, lift: tuple[Fraction, ...],
     r = lat.rank
     ground = _gram_quadratic(lat.gram, lift) / 2
     bound = ground + max_energy
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
+    half = int(math.ceil(math.sqrt(2 * float(bound) / _lam_min(lat) + 1e-12))) + 1
     counts = [0] * (max_energy + 1)
     for mu in itertools.product(range(-half, half + 1), repeat=r):
         v = tuple(l0 + m for l0, m in zip(lift, mu))
@@ -283,32 +310,36 @@ class FockState:
     occupation: Occupation
 
     def energy(self, lat: EvenLattice) -> Fraction:
-        return _gram_quadratic(lat.gram, self.sector_vector) / 2 \
-            + occupation_energy(self.occupation)
+        den, p = _numerators(self.sector_vector)
+        scale = 2 * den * den
+        return Fraction(_form_int(lat.gram, p)
+                        + scale * occupation_energy(self.occupation), scale)
 
 
 def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
                             phi: GroupElement, max_offset: int) -> list[FockState]:
     """Explicit states of the sector with energy up to ground + max_offset."""
     lift = minimal_norm_lift(lat, disc, phi)
-    ground = _gram_quadratic(lat.gram, lift) / 2
-    bound = ground + max_offset
-    r = lat.rank
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
-    tr = ModeTruncation(rank=r, max_mode=max(max_offset, 1),
+    den, p0 = _numerators(lift)
+    scale = 2 * den * den  # energies are integers over 2 D^2
+    bound = _form_int(lat.gram, p0) + scale * max_offset
+    # bound / scale is correctly rounded: float() of the Fraction bound
+    half = int(math.ceil(math.sqrt(2 * (bound / scale) / _lam_min(lat)
+                                   + 1e-12))) + 1
+    tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
     osc_states = oscillator_basis(tr)
+    # the basis is sorted by energy, so a vector's states are a prefix
+    osc_energies = [occupation_energy(occ) for occ in osc_states]
     out = []
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
-        v = tuple(l0 + m for l0, m in zip(lift, mu))
-        e_lat = _gram_quadratic(lat.gram, v) / 2
-        if e_lat > bound:
+    for mu in itertools.product(range(-half, half + 1), repeat=lat.rank):
+        q = _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)])
+        if q > bound:
             continue
-        room = bound - e_lat
-        for occ in osc_states:
-            if occupation_energy(occ) <= room:
-                out.append(FockState(sector_vector=v, occupation=occ))
+        v = tuple(l0 + m for l0, m in zip(lift, mu))
+        room = bisect.bisect_right(osc_energies, (bound - q) // scale)
+        out.extend(FockState(sector_vector=v, occupation=occ)
+                   for occ in osc_states[:room])
     return out
 
 
@@ -359,37 +390,45 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
                     key = (e1, e2)
                     lhs[key] = lhs.get(key, 0) + cm * cn
 
-    rhs: dict[tuple[Fraction, Fraction], int] = {}
+    # right side: the dual vectors are adj(G) k / det G, so their energies
+    # are integers over 2 det^2, and two lie in one coset exactly when
+    # their adj(G) k agree mod det
     r = lat.rank
+    det = det_int(lat.gram)
+    adj = [[(det * x).numerator for x in
+            _solve_fraction(lat.gram, [Fraction(int(k == i)) for k in range(r)])]
+           for i in range(r)]
+    scale = 2 * det * det
+    limit = scale * max_energy
     lam_min_dual = 1.0 / float(
         np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
     half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
-    gram_inv_cols = [_solve_fraction(lat.gram, [Fraction(int(k == i))
-                                                for k in range(r)])
-                     for i in range(r)]
-    duals = []
+    cosets: dict[tuple[int, ...], Counter] = {}
     for k in itertools.product(range(-half, half + 1), repeat=r):
-        v = tuple(sum(gram_inv_cols[j][i] * k[j] for j in range(r))
-                  for i in range(r))
-        e = _gram_quadratic(lat.gram, v) / 2
-        if e <= max_energy:
-            duals.append((v, e))
+        a = [sum(col[i] * kj for col, kj in zip(adj, k)) for i in range(r)]
+        n = _form_int(lat.gram, a)
+        if n <= limit:
+            cosets.setdefault(tuple(x % det for x in a), Counter())[n] += 1
+    pairs: Counter = Counter()
+    for energies in cosets.values():
+        for n1, c1 in energies.items():
+            for n2, c2 in energies.items():
+                if n1 + n2 <= limit:
+                    pairs[n1, n2] += c1 * c2
     osc = _enumerated_partition_counts(max_energy, r)
-    for v1, e1 in duals:
-        for v2, e2 in duals:
-            if e1 + e2 > max_energy:
+    rhs_num: dict[tuple[int, int], int] = {}
+    for (n1, n2), mult in pairs.items():
+        budget = (limit - n1 - n2) // scale
+        for m in range(budget + 1):
+            if not osc[m]:
                 continue
-            if any((x - y).denominator != 1 for x, y in zip(v1, v2)):
-                continue  # not the same coset
-            budget = max_energy - e1 - e2
-            for m in range(int(budget) + 1):
-                if not osc[m]:
+            for n in range(budget - m + 1):
+                if not osc[n]:
                     continue
-                for n in range(int(budget) - m + 1):
-                    if not osc[n]:
-                        continue
-                    key = (e1 + m, e2 + n)
-                    rhs[key] = rhs.get(key, 0) + osc[m] * osc[n]
+                key = (n1 + m * scale, n2 + n * scale)
+                rhs_num[key] = rhs_num.get(key, 0) + mult * osc[m] * osc[n]
+    rhs = {(Fraction(n1, scale), Fraction(n2, scale)): v
+           for (n1, n2), v in rhs_num.items()}
 
     def freeze(table):
         return tuple(sorted(((str(k[0]), str(k[1])), v)

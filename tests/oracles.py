@@ -6,7 +6,8 @@ surface homology from an honest cellular chain complex, theta values by
 raw summation, state counts by explicit enumeration, modular data one
 entry at a time from the lifts and the Gram matrix, Heisenberg commutant
 and Hom dimensions as float character sums, the factorization sum as a
-tuple loop over label assignments.
+tuple loop over label assignments, and the earlier `Fraction` versions
+of the fock energies and of the cyclotomic reduction of a phase sum.
 """
 
 from __future__ import annotations
@@ -15,10 +16,14 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from latticecft.blocks import block_dimension
+from latticecft.errors import NonIntegralEnergy
+from latticecft.exact import cyclotomic_poly
+from latticecft.fock import ModeTruncation, occupation_energy, oscillator_basis
 from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
 
 
@@ -400,3 +405,133 @@ def reference_factorization(s, pieces, matching, labels, disc, keep_terms=False)
         if keep_terms:
             terms.append((assignment, term))
     return lhs, rhs, tuple(terms)
+
+
+# ---------------------------------------------------------------------------
+# fock energies one Fraction product at a time: the library's earlier
+# versions, kept as references for the integer-numerator ones
+
+
+def reference_gram_quadratic(gram, v) -> Fraction:
+    r = len(gram)
+    return sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
+
+
+def reference_minimal_norm_lift(lat, disc, phi) -> tuple[Fraction, ...]:
+    r = lat.rank
+    lift0 = disc.lift(phi)
+    q0 = reference_gram_quadratic(lat.gram, lift0)
+    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
+    half = int(math.ceil(math.sqrt(float(q0) / lam_min + 1e-12))) + 1 if q0 else 0
+    best = None
+    for mu in itertools.product(range(-half, half + 1), repeat=r):
+        cand = tuple(l0 + m for l0, m in zip(lift0, mu))
+        q = reference_gram_quadratic(lat.gram, cand)
+        key = (q, cand)
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def reference_lattice_offsets(lat, lift, max_energy) -> list[int]:
+    r = lat.rank
+    ground = reference_gram_quadratic(lat.gram, lift) / 2
+    bound = ground + max_energy
+    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
+    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
+    counts = [0] * (max_energy + 1)
+    for mu in itertools.product(range(-half, half + 1), repeat=r):
+        v = tuple(l0 + m for l0, m in zip(lift, mu))
+        e = reference_gram_quadratic(lat.gram, v) / 2
+        if e <= bound:
+            off = e - ground
+            if off.denominator != 1:
+                raise NonIntegralEnergy(
+                    f"coset energies differ by {off}, not an integer")
+            counts[int(off)] += 1
+    return counts
+
+
+def reference_state_energy(gram, sector_vector, occupation) -> Fraction:
+    return reference_gram_quadratic(gram, sector_vector) / 2 \
+        + occupation_energy(occupation)
+
+
+def reference_sector_states(lat, disc, phi, max_offset):
+    """(sector vector, occupation) pairs in enumeration order."""
+    lift = reference_minimal_norm_lift(lat, disc, phi)
+    ground = reference_gram_quadratic(lat.gram, lift) / 2
+    bound = ground + max_offset
+    r = lat.rank
+    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
+    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
+    tr = ModeTruncation(rank=r, max_mode=max(max_offset, 1),
+                        max_energy=max_offset)
+    osc_states = oscillator_basis(tr)
+    out = []
+    for mu in itertools.product(range(-half, half + 1), repeat=r):
+        v = tuple(l0 + m for l0, m in zip(lift, mu))
+        e_lat = reference_gram_quadratic(lat.gram, v) / 2
+        if e_lat > bound:
+            continue
+        room = bound - e_lat
+        for occ in osc_states:
+            if occupation_energy(occ) <= room:
+                out.append((v, occ))
+    return out
+
+
+def reference_sewing_rhs(lat, max_energy):
+    """The frozen right-hand table of the annulus sewing check: every pair
+    of dual vectors tested for an integral difference."""
+    rhs: dict[tuple[Fraction, Fraction], int] = {}
+    r = lat.rank
+    lam_min_dual = 1.0 / float(
+        np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
+    half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
+    gram_inv_cols = [_solve(lat.gram, [Fraction(int(k == i)) for k in range(r)])
+                     for i in range(r)]
+    duals = []
+    for k in itertools.product(range(-half, half + 1), repeat=r):
+        v = tuple(sum(gram_inv_cols[j][i] * k[j] for j in range(r))
+                  for i in range(r))
+        e = reference_gram_quadratic(lat.gram, v) / 2
+        if e <= max_energy:
+            duals.append((v, e))
+    osc = colored_partition_states(max_energy, r)
+    for v1, e1 in duals:
+        for v2, e2 in duals:
+            if e1 + e2 > max_energy:
+                continue
+            if any((x - y).denominator != 1 for x, y in zip(v1, v2)):
+                continue  # not the same coset
+            budget = max_energy - e1 - e2
+            for m in range(int(budget) + 1):
+                if not osc[m]:
+                    continue
+                for n in range(int(budget) - m + 1):
+                    if not osc[n]:
+                        continue
+                    key = (e1 + m, e2 + n)
+                    rhs[key] = rhs.get(key, 0) + osc[m] * osc[n]
+    return tuple(sorted(((str(k[0]), str(k[1])), v)
+                        for k, v in rhs.items() if v))
+
+
+def reference_reduced(terms) -> list[int]:
+    """Coordinates of sum_q n_q e(q) in the basis 1, z, ..., z^(d-1),
+    reduced modulo the cyclotomic polynomial of the common denominator
+    one coefficient at a time."""
+    terms = {q: n for q, n in terms.items() if n}
+    level = lcm(*(q.denominator for q in terms))
+    vec = [0] * level
+    for q, n in terms.items():
+        vec[(q.numerator * (level // q.denominator)) % level] += n
+    phi = cyclotomic_poly(level)
+    d = len(phi) - 1
+    for i in range(level - 1, d - 1, -1):
+        c = vec[i]
+        if c:
+            for j, pj in enumerate(phi):
+                vec[i - d + j] -= c * pj
+    return vec[:d]

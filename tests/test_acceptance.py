@@ -71,7 +71,15 @@ def test_criterion_07_theta():
 
 
 def test_criterion_08_characters():
-    _report(criterion_08_characters(TOL, DEFAULT_SEED))
+    result = criterion_08_characters(TOL, DEFAULT_SEED)
+    _report(result)
+    assert result.details == {
+        "sectors_checked": {"a1": 2, "z4": 4, "z6": 6, "z8": 8, "a2": 3,
+                            "z2z2": 4, "z2z4": 8},
+        "sewing": {"a1": {"max_energy": 12, "equal": True},
+                   "z4": {"max_energy": 12, "equal": True},
+                   "a2": {"max_energy": 8, "equal": True},
+                   "z2z2": {"max_energy": 8, "equal": True}}}
 
 
 def test_criterion_09_bogoliubov():

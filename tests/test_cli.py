@@ -178,6 +178,17 @@ class TestVerlinde:
         assert res["equal"] is True
         assert res["verlinde_re"] is None and res["deviation"] is None
 
+    def test_high_prime_power_level_is_exact(self):
+        # one outgoing circle labelled 1 on a torus: the character sum has
+        # level 16384, reduced modulo Phi_2(x^8192)
+        surface = ('{"components":[{"genus":1,"boundaries":'
+                   '[{"id":"c0","orientation":"out"}]}]}')
+        code, rep = invoke(["verlinde", "--surface", surface,
+                            "--lattice", "[[16384]]", "--labels", '{"c0":[1]}'])
+        assert code == 0
+        assert rep["results"]["equal"] is True
+        assert rep["results"]["block_dimension"] == 0
+
 
 class TestTheta:
     def test_theta3(self):
@@ -265,7 +276,7 @@ class TestGoldenReports:
                             "reports.txt")
         with open(path, "rb") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert len(lines) == 16
+        assert len(lines) == 22
         for argv_line, report in zip(lines[0::2], lines[1::2]):
             assert render_report(json.loads(argv_line)) == report, argv_line
 

@@ -1,11 +1,14 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecft.exact import PhaseSum, cyclotomic_poly, det_int
 
-from oracles import laplace_det
+from oracles import laplace_det, reference_reduced
 
 
 class TestDet:
@@ -109,3 +112,27 @@ class TestPhaseSum:
         s = PhaseSum()
         s.add(Fraction(1, 2), 3)
         assert s.scaled(2).terms[Fraction(1, 2)] == 6
+
+
+class TestReducedAgainstReference:
+    """The residue-class reduction against the reduction modulo the full
+    cyclotomic polynomial of the level."""
+
+    @staticmethod
+    def _random_sums(levels, count, seed):
+        rng = random.Random(seed)
+        for _ in range(count):
+            level = rng.choice(levels)
+            terms = Counter()
+            for _ in range(rng.randint(0, 10)):
+                terms[Fraction(rng.randrange(level), level) % 1] += rng.randint(-3, 3)
+            yield terms
+
+    @pytest.mark.parametrize("levels", [
+        (2, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 128, 243, 256),  # prime powers
+        (1, 2, 3, 6, 10, 15, 30, 35, 42, 105, 210, 330),  # squarefree
+        (12, 18, 24, 36, 45, 72, 100, 108, 144, 180, 360, 504),  # mixed
+    ])
+    def test_matches_reference(self, levels):
+        for terms in self._random_sums(levels, 300, len(levels)):
+            assert PhaseSum(terms)._reduced() == reference_reduced(terms), terms

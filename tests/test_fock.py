@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latticecft.errors import NotContractive
+from latticecft.errors import NonIntegralEnergy, NotContractive
 from latticecft.fock import (
     FockState,
+    _gram_quadratic,
+    _lattice_offsets,
     ModeTruncation,
     SectorCharacter,
     TrigLoop,
@@ -25,7 +27,17 @@ from latticecft.fock import (
 )
 from latticecft.lattices import discriminant_group, validate_even_lattice
 
-from oracles import brute_force_sector_counts, quadrature_loop_pairing
+from oracles import (
+    brute_force_sector_counts,
+    colored_partition_states,
+    quadrature_loop_pairing,
+    reference_gram_quadratic,
+    reference_lattice_offsets,
+    reference_minimal_norm_lift,
+    reference_sector_states,
+    reference_sewing_rhs,
+    reference_state_energy,
+)
 
 
 def lattice_pair(gram):
@@ -181,6 +193,103 @@ class TestSectorCharacter:
         lat, disc = lattice_pair([[2]])
         with pytest.raises(ValueError, match="max_energy"):
             sector_character(lat, disc, disc.zero, -1)
+
+
+# every sector of these lattices, at the largest energy its rank allows
+# in a test: mixed lift denominators (z2z4, z2z8), rank 3 and rank 4
+REFERENCE_LATTICES = {
+    "a1": ([[2]], 10),
+    "z4": ([[4]], 10),
+    "z6": ([[6]], 10),
+    "z8": ([[8]], 10),
+    "a2": ([[2, 1], [1, 2]], 10),
+    "z2z2": ([[2, 0], [0, 2]], 10),
+    "z2z4": ([[2, 0], [0, 4]], 10),
+    "z2z8": ([[2, 0], [0, 8]], 10),
+    "a3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3),
+    "d4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 1),
+}
+
+
+def _reference_sewing_lhs(lat, disc, max_energy):
+    osc = colored_partition_states(max_energy, lat.rank)
+    lhs = {}
+    for phi in disc.elements():
+        lift = reference_minimal_norm_lift(lat, disc, phi)
+        g0 = reference_gram_quadratic(lat.gram, lift) / 2
+        offsets = reference_lattice_offsets(lat, lift, max_energy)
+        coeffs = [sum(offsets[k] * osc[e - k] for k in range(e + 1))
+                  for e in range(max_energy + 1)]
+        for m, cm in enumerate(coeffs):
+            for n, cn in enumerate(coeffs):
+                if cm and cn and g0 + m + g0 + n <= max_energy:
+                    lhs[g0 + m, g0 + n] = lhs.get((g0 + m, g0 + n), 0) + cm * cn
+    return tuple(sorted(((str(a), str(b)), v) for (a, b), v in lhs.items()))
+
+
+class TestAgainstFractionReference:
+    """Integer-numerator energies against the Fraction-product versions
+    they replaced, on every sector."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+    def test_lifts_and_characters(self, name):
+        gram, energy = REFERENCE_LATTICES[name]
+        lat, disc = lattice_pair(gram)
+        for phi in disc.elements():
+            lift = minimal_norm_lift(lat, disc, phi)
+            assert lift == reference_minimal_norm_lift(lat, disc, phi), phi
+            assert all(type(x) is Fraction for x in lift)
+            assert _gram_quadratic(lat.gram, lift) == \
+                reference_gram_quadratic(lat.gram, lift)
+            assert _lattice_offsets(lat, lift, energy) == \
+                reference_lattice_offsets(lat, lift, energy)
+            ch = sector_character(lat, disc, phi, energy)
+            assert ch.ground_energy == reference_gram_quadratic(lat.gram, lift) / 2
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+    def test_state_lists_and_energies(self, name):
+        gram, energy = REFERENCE_LATTICES[name]
+        energy = min(energy, 6)
+        lat, disc = lattice_pair(gram)
+        for phi in disc.elements():
+            states = enumerate_sector_states(lat, disc, phi, energy)
+            want = reference_sector_states(lat, disc, phi, energy)
+            assert [(st.sector_vector, st.occupation) for st in states] == want
+            for st in states:
+                e = st.energy(lat)
+                assert type(e) is Fraction
+                assert e == reference_state_energy(lat.gram, st.sector_vector,
+                                                   st.occupation)
+
+    @pytest.mark.parametrize("name,depth", [("a1", 12), ("z4", 12), ("a2", 8),
+                                            ("z2z2", 8)])
+    def test_sewing_tables(self, name, depth):
+        lat, disc = lattice_pair(REFERENCE_LATTICES[name][0])
+        rep = annulus_sewing_check(lat, disc, depth)
+        assert rep.rhs_table == reference_sewing_rhs(lat, depth)
+        assert rep.lhs_table == _reference_sewing_lhs(lat, disc, depth)
+        assert rep.equal
+
+    def test_hand_built_states(self):
+        lat, _ = lattice_pair([[2, 1], [1, 2]])
+        occ = (((1, 0), 2), ((3, 1), 1))
+        for vec in [(0, 0), (1, -2), (Fraction(1, 3), 2), (Fraction(-2, 3), Fraction(1, 3)),
+                    (Fraction(1, 2), Fraction(5, 4)), (Fraction(7), -1)]:
+            for o in ((), occ):
+                e = FockState(sector_vector=vec, occupation=o).energy(lat)
+                assert type(e) is Fraction
+                assert e == reference_state_energy(lat.gram, vec, o), (vec, o)
+                assert _gram_quadratic(lat.gram, vec) == \
+                    reference_gram_quadratic(lat.gram, vec)
+
+    def test_non_integral_offset_is_refused_alike(self):
+        lat, _ = lattice_pair([[2]])
+        lift = (Fraction(1, 3),)  # not a coset of the lattice in its dual
+        with pytest.raises(NonIntegralEnergy) as got:
+            _lattice_offsets(lat, lift, 2)
+        with pytest.raises(NonIntegralEnergy) as want:
+            reference_lattice_offsets(lat, lift, 2)
+        assert str(got.value) == str(want.value)
 
 
 class TestAnnulusSewing:
