@@ -24,7 +24,6 @@ from .surfaces import (
     delta_obstruction,
     glue,
     h1_rank,
-    intersection_matrix,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "gauss_sum",
     "glue",
     "h1_rank",
-    "intersection_matrix",
     "signature_mod8",
     "smith_normal_form",
     "validate_even_lattice",

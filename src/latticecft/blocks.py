@@ -39,13 +39,6 @@ from .surfaces import (
 )
 
 
-@dataclass(frozen=True)
-class BlockSpace:
-    surface: Surface
-    labels: BlockLabel
-    dimension: int
-
-
 def block_dimension(s: Surface, labels: BlockLabel,
                     disc: DiscriminantGroup) -> int:
     """Product over components of |A|^g, or 0 where the label obstruction
@@ -57,11 +50,6 @@ def block_dimension(s: Surface, labels: BlockLabel,
             return 0
         dim *= disc.order ** comp.genus
     return dim
-
-
-def block_space(s: Surface, labels: BlockLabel,
-                disc: DiscriminantGroup) -> BlockSpace:
-    return BlockSpace(s, labels, block_dimension(s, labels, disc))
 
 
 def verify_tensor_duality(s1: Surface, s2: Surface, labels: BlockLabel,
@@ -201,7 +189,7 @@ class VerlindeReport:
 def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
     """sum_j e(-b(a, j)) over all j in A.  Since N b(a, j) is
     sum_k j_k N b(a, e_k) over the generators e_k, every phase is a
-    multiple of 1/N, N the exponent.  The phases are keyed in the order
+    residue mod N, N the exponent.  The residues are keyed in the order
     they first occur over elements(), which fixes the float sum."""
     n = disc.exponent
     steps = disc._row(a.coords) @ disc.bilinear_int % n  # N b(a, e_k)
@@ -209,7 +197,7 @@ def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
     for rows in disc._radix.slabs():
         phases = (-(rows @ steps) % n).tolist()
         counts.update(phases)  # new keys go in at their first occurrence
-    return PhaseSum(Counter({Fraction(m, n): c for m, c in counts.items()}))
+    return PhaseSum(counts, n)
 
 
 def verlinde_check(s: Surface, labels: BlockLabel,

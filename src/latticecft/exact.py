@@ -1,19 +1,17 @@
-"""Exact integer and rational helpers.
+"""Exact integer helpers.
 
-Phases throughout the library are rationals mod 1 (multiplicatively,
-roots of unity).  Sums of roots of unity are kept as integer-weighted
-multisets of rational phases so that identities like character equalities
-can be certified exactly, via reduction modulo cyclotomic polynomials,
-instead of being trusted to floating point.
+A sum of roots of unity is kept as an integer histogram of residues at
+one level: multiplicities of e(r/level) for residues r mod level, the
+integer counts its producers already hold.  Identities like character
+equalities are then certified exactly, via reduction modulo cyclotomic
+polynomials, instead of being trusted to floating point.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 
 
 def det_int(m: list[list[int]] | tuple) -> int:
@@ -81,47 +79,36 @@ def _radical(n: int) -> int:
 
 
 class PhaseSum:
-    """Integer combination of roots of unity, sum_q n_q * e^(2*pi*i*q).
+    """Integer combination of roots of unity, sum_r n_r e(r/level).
 
-    Keys are Fractions reduced mod 1.  Supports exact zero / equality
-    tests by reducing the associated integer polynomial modulo the
-    cyclotomic polynomial of the common denominator.
+    `counts` maps residues mod `level` to integer multiplicities; zero
+    multiplicities are ignored.  Zero and integer tests are exact, by
+    reducing the associated integer polynomial modulo the cyclotomic
+    polynomial of the least level; `to_complex` sums in the order of
+    `counts`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("counts", "level")
 
-    def __init__(self, terms: Counter | None = None):
-        self.terms: Counter = terms if terms is not None else Counter()
-
-    def add(self, phase: Fraction, mult: int = 1) -> None:
-        if mult:
-            self.terms[phase % 1] += mult
-
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        return PhaseSum(self.terms + other.terms)
-
-    def __sub__(self, other: "PhaseSum") -> "PhaseSum":
-        t = Counter(self.terms)
-        t.subtract(other.terms)
-        return PhaseSum(t)
-
-    def scaled(self, k: int) -> "PhaseSum":
-        return PhaseSum(Counter({q: k * n for q, n in self.terms.items()}))
+    def __init__(self, counts: dict[int, int], level: int):
+        self.counts = counts
+        self.level = level
 
     def _reduced(self) -> list[int]:
         """Coordinates in the basis 1, z, ..., z^(d-1) of Q(z), z the
-        primitive root of unity of the phases' common denominator n: the
-        integer polynomial of the sum reduced modulo the cyclotomic
-        polynomial of that level.
+        primitive root of unity of the least level n (`level` divided by
+        its gcd with the occupied residues): the integer polynomial of the
+        sum reduced modulo the cyclotomic polynomial of n.
 
         With m = rad(n) and s = n/m, Phi_n(x) = Phi_m(x^s), so each residue
         class r mod s reduces on its own as a polynomial in y = x^s modulo
         Phi_m; coordinate r + k*s is coefficient k of class r."""
-        terms = {q: n for q, n in self.terms.items() if n}
-        level = lcm(*(q.denominator for q in terms))
+        occupied = [(r, n) for r, n in self.counts.items() if n]
+        g = gcd(self.level, *(r for r, _ in occupied))
+        level = self.level // g
         vec = [0] * level
-        for q, n in terms.items():
-            vec[(q.numerator * (level // q.denominator)) % level] += n
+        for r, n in occupied:
+            vec[r // g % level] += n
         rad = _radical(level)
         step = level // rad
         phi = cyclotomic_poly(rad)
@@ -145,14 +132,9 @@ class PhaseSum:
         vec = self._reduced()
         return None if any(vec[1:]) else vec[0]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PhaseSum):
-            return NotImplemented
-        return (self - other).is_zero()
-
     def to_complex(self) -> complex:
-        return sum(n * cmath.exp(2j * cmath.pi * float(q))
-                   for q, n in self.terms.items())
+        return sum(n * cmath.exp(2j * cmath.pi * (r / self.level))
+                   for r, n in self.counts.items() if n)
 
     def __repr__(self) -> str:
-        return f"PhaseSum({dict(self.terms)!r})"
+        return f"PhaseSum({self.counts!r}, {self.level})"

@@ -24,6 +24,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -35,6 +36,7 @@ from .lattices import (
     EvenLattice,
     GroupElement,
     _solve_fraction,
+    _within_budget,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,9 +137,11 @@ class ModeTruncation:
 Occupation = tuple[tuple[tuple[int, int], int], ...]  # ((mode, color), count)
 
 
-def oscillator_basis(tr: ModeTruncation) -> list[Occupation]:
+@lru_cache(maxsize=None)
+def oscillator_basis(tr: ModeTruncation) -> tuple[Occupation, ...]:
     """All colored occupation states with energy <= max_energy and modes
-    <= max_mode, ordered by (energy, occupation)."""
+    <= max_mode, ordered by (energy, occupation); built once per
+    truncation."""
     modes = [(n, c) for n in range(1, min(tr.max_mode, tr.max_energy) + 1)
              for c in range(tr.rank)]
     states: list[Occupation] = []
@@ -158,7 +162,7 @@ def oscillator_basis(tr: ModeTruncation) -> list[Occupation]:
 
     rec(0, tr.max_energy, [])
     states.sort(key=lambda occ: (occupation_energy(occ), occ))
-    return states
+    return tuple(states)
 
 
 def occupation_energy(occ: Occupation) -> int:
@@ -222,6 +226,13 @@ def _lam_min(lat: EvenLattice) -> float:
     return float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
 
 
+def _box(half: int, rank: int):
+    """The integer points of [-half, half]^rank in lexicographic order;
+    a box over the entry budget is refused before any point is visited."""
+    _within_budget((2 * half + 1) ** rank, "the lattice box")
+    return itertools.product(range(-half, half + 1), repeat=rank)
+
+
 def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
                       phi: GroupElement) -> tuple[Fraction, ...]:
     """Minimal-norm dual-lattice representative of the coset phi, ties
@@ -234,7 +245,7 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
         half = int(math.ceil(math.sqrt(q0 / (den * den) / _lam_min(lat)
                                        + 1e-12))) + 1
     best = None
-    for mu in itertools.product(range(-half, half + 1), repeat=lat.rank):
+    for mu in _box(half, lat.rank):
         cand = tuple(l0 + m for l0, m in zip(lift0, mu))
         key = (_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), cand)
         if best is None or key < best:
@@ -251,7 +262,7 @@ def _lattice_offsets(lat: EvenLattice, lift: tuple[Fraction, ...],
     bound = ground + max_energy
     half = int(math.ceil(math.sqrt(2 * float(bound) / _lam_min(lat) + 1e-12))) + 1
     counts = [0] * (max_energy + 1)
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
+    for mu in _box(half, r):
         v = tuple(l0 + m for l0, m in zip(lift, mu))
         e = _gram_quadratic(lat.gram, v) / 2
         if e <= bound:
@@ -332,7 +343,7 @@ def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
     # the basis is sorted by energy, so a vector's states are a prefix
     osc_energies = [occupation_energy(occ) for occ in osc_states]
     out = []
-    for mu in itertools.product(range(-half, half + 1), repeat=lat.rank):
+    for mu in _box(half, lat.rank):
         q = _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)])
         if q > bound:
             continue
@@ -404,7 +415,7 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
         np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
     half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
     cosets: dict[tuple[int, ...], Counter] = {}
-    for k in itertools.product(range(-half, half + 1), repeat=r):
+    for k in _box(half, r):
         a = [sum(col[i] * kj for col, kj in zip(adj, k)) for i in range(r)]
         n = _form_int(lat.gram, a)
         if n <= limit:

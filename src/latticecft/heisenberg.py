@@ -122,11 +122,6 @@ def _positions(grid: _MixedRadix, elements) -> np.ndarray:
     return grid.index(rows)
 
 
-def _phase_sum(counts: np.ndarray, m: int) -> PhaseSum:
-    """sum_a counts[a] e(a/m), exactly."""
-    return PhaseSum(Counter({Fraction(a, m): c for a, c in enumerate(counts.tolist()) if c}))
-
-
 # ---------------------------------------------------------------------------
 # monomial unitary representations
 
@@ -194,7 +189,8 @@ class UnitaryRep:
         return np.bincount(fixed, minlength=m)
 
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        return _phase_sum(self._histogram(self.form._row(x), self.modulus), self.modulus)
+        m = self.modulus
+        return PhaseSum(dict(enumerate(self._histogram(self.form._row(x), m).tolist())), m)
 
     def generator_elements(self) -> list[HeisenbergElement]:
         return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
@@ -475,7 +471,7 @@ def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
     for (u, v), count in pairs.items():
         u, v = np.frombuffer(u, dtype=np.intp), np.frombuffer(v, dtype=np.intp)
         sums += count * np.correlate(np.concatenate([u, u]), v, "valid")[:m]
-    value = _phase_sum(sums, m).integer_value()
+    value = PhaseSum(dict(enumerate(sums.tolist())), m).integer_value()
     if value is None or value % rep1._grid.size:
         raise ArithmeticError("character pairing is not a multiple of |H1|")
     return value // rep1._grid.size

@@ -140,12 +140,8 @@ class Surface:
 
 def h1_rank(s: Surface) -> int:
     """Rank of H1: per component 2g plus (boundary count - 1) when there is
-    boundary at all."""
-    total = 0
-    for comp in s.components:
-        b = len(comp.boundaries)
-        total += 2 * comp.genus + max(b - 1, 0)
-    return total
+    boundary at all, the size of `homology_basis`."""
+    return homology_basis(s).rank
 
 
 @dataclass(frozen=True)
@@ -248,10 +244,6 @@ class IntersectionForm:
     @staticmethod
     def closed_genus(disc: DiscriminantGroup, genus: int) -> "IntersectionForm":
         return IntersectionForm(Surface.closed(genus), disc)
-
-
-def intersection_matrix(s: Surface, disc: DiscriminantGroup) -> IntersectionForm:
-    return IntersectionForm(s, disc)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient, TruncationOverflow
+from .lattices import _within_budget
 
 MAX_RADIUS = 60
 
@@ -55,27 +56,18 @@ class SiegelPoint:
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Characteristics (a, b) and a polarization type d1 | d2 | ..."""
+    """Characteristics (a, b)."""
 
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
-    polarization_type: tuple[int, ...]
 
     @staticmethod
-    def make(a, b, polarization_type=None) -> "ThetaSpec":
+    def make(a, b) -> "ThetaSpec":
         a = tuple(Fraction(x) for x in a)
         b = tuple(Fraction(x) for x in b)
         if len(a) != len(b):
             raise ValueError("characteristics must have equal length")
-        if polarization_type is None:
-            polarization_type = (1,) * len(a)
-        ptype = tuple(int(d) for d in polarization_type)
-        if any(d < 1 for d in ptype):
-            raise ValueError("polarization type entries must be >= 1")
-        for d1, d2 in zip(ptype, ptype[1:]):
-            if d2 % d1:
-                raise ValueError("polarization type must be a divisibility chain")
-        return ThetaSpec(a=a, b=b, polarization_type=ptype)
+        return ThetaSpec(a=a, b=b)
 
     @property
     def g(self) -> int:
@@ -126,6 +118,7 @@ def _tree_sum(arr: np.ndarray) -> complex:
 def _box_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, tau: np.ndarray,
              radius: int) -> complex:
     g = len(a)
+    _within_budget((2 * radius + 1) ** g * g, "the theta box")
     axes = [np.arange(-radius, radius + 1, dtype=float)] * g
     grid = np.meshgrid(*axes, indexing="ij") if g else []
     n = np.stack([gr.ravel() for gr in grid], axis=1) if g else np.zeros((1, 0))
@@ -255,6 +248,10 @@ def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003,
     Basis: theta[D^{-1} c, 0] for c in prod Z/d_i; the rank of the value
     matrix at >= 3 prod(d_i) points must equal prod(d_i)."""
     ptype = tuple(int(d) for d in ptype)
+    if any(d < 1 for d in ptype):
+        raise ValueError("polarization type entries must be >= 1")
+    if any(d2 % d1 for d1, d2 in zip(ptype, ptype[1:])):
+        raise ValueError("polarization type must be a divisibility chain")
     g = tau.g
     if len(ptype) != g:
         raise ValueError("polarization type length must match tau")
@@ -271,7 +268,7 @@ def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003,
         + 0.3j * rng.standard_normal((n_samples, g))
     vals = np.empty((n_samples, dim), dtype=complex)
     for j, a in enumerate(chars):
-        spec = ThetaSpec.make(a, (Fraction(0),) * g, ptype)
+        spec = ThetaSpec.make(a, (Fraction(0),) * g)
         for i in range(n_samples):
             vals[i, j] = theta(spec, points[i], tau, tol=tol).value
     norms = np.linalg.norm(vals, axis=0)

@@ -83,13 +83,6 @@ class TestBlockDimension:
         with pytest.raises(MissingLabel):
             block_dimension(Surface.disk(), no_labels(), z2)
 
-    def test_block_space_record(self, z3):
-        from latticecft.blocks import block_space
-        s = Surface.closed(1)
-        space = block_space(s, no_labels(), z3)
-        assert space.dimension == 3
-        assert space.surface == s
-
 
 class TestTensorDuality:
     def test_two_spheres(self, z3):

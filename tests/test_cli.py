@@ -6,6 +6,7 @@ import sys
 from latticecft import blocks
 from latticecft.blocks import s_matrix
 from latticecft.cli import render_report, run
+from latticecft.lattices import E8_GRAM
 
 A2 = "[[2,1],[1,2]]"
 SPHERE = '{"components":[{"genus":0,"boundaries":[]}]}'
@@ -23,6 +24,15 @@ def invoke_process(argv):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "latticecft", *argv],
                           capture_output=True, env=env)
+
+
+def assert_refused(argv):
+    """Work over the budget: exit 2 at once, one JSON line, no traceback."""
+    proc = invoke_process(argv)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["error_kind"] == "GroupTooLarge"
 
 
 def refuse_constant(name):
@@ -56,12 +66,7 @@ class TestDisc:
 
     def test_group_over_budget_is_refused(self):
         # |A| is about 1.6e11: the Gauss sum is refused before any work
-        proc = invoke_process(["disc", "--lattice",
-                               "[[2000,1,0],[1,4000,3],[0,3,20000]]"])
-        assert proc.returncode == 2
-        assert proc.stderr == b""
-        rep = json.loads(proc.stdout)
-        assert rep["error_kind"] == "GroupTooLarge"
+        assert_refused(["disc", "--lattice", "[[2000,1,0],[1,4000,3],[0,3,20000]]"])
 
 
 class TestBlocks:
@@ -110,10 +115,7 @@ class TestFactorize:
 
     def test_sum_over_budget_is_refused(self):
         # 512^3 label assignments, over DENSE_ENTRY_BUDGET
-        proc = invoke_process(self.three_circle_argv("[[512]]"))
-        assert proc.returncode == 2
-        assert proc.stderr == b""
-        assert json.loads(proc.stdout)["error_kind"] == "GroupTooLarge"
+        assert_refused(self.three_circle_argv("[[512]]"))
 
     def test_sum_at_budget_is_answered(self):
         # 256^3 = 2^24 label assignments, summed in bounded slabs
@@ -208,6 +210,11 @@ class TestTheta:
         assert abs(rep["results"]["value_re"]) < 1e-12
         assert abs(rep["results"]["value_im"]) < 1e-12
 
+    def test_e8_period_matrix_is_refused(self):
+        # tau = i G_E8 asks for a radius-41 box, 83^8 points
+        assert_refused(["theta", "--tau", json.dumps({"im": E8_GRAM}),
+                        "--z", json.dumps([0] * 8)])
+
 
 class TestFock:
     def test_character_vacuum(self):
@@ -224,6 +231,10 @@ class TestFock:
         assert rep["results"]["ground_energy"] == "1/4"
         assert rep["results"]["coefficients"] == [2, 2, 6]
 
+    def test_e8_character_box_is_refused(self):
+        # the offsets box at E = 2 has 43^8 points
+        assert_refused(["fock", "character", "--lattice", json.dumps(E8_GRAM),
+                        "--phi", "0", "--max-energy", "2"])
 
     def test_negative_max_energy_is_validation_error(self):
         code, rep = invoke(["fock", "character", "--lattice", "[[2]]",
@@ -243,10 +254,7 @@ class TestHeisenberg:
 
     def test_genus_12_is_refused(self):
         # 24 generator matrices of size 4096^2, over the dense-entry budget
-        proc = invoke_process(["heisenberg", "--lattice", "[[2]]", "--genus", "12"])
-        assert proc.returncode == 2
-        assert proc.stderr == b""
-        assert json.loads(proc.stdout)["error_kind"] == "GroupTooLarge"
+        assert_refused(["heisenberg", "--lattice", "[[2]]", "--genus", "12"])
 
 
 class TestDeterminism:
@@ -276,7 +284,7 @@ class TestGoldenReports:
                             "reports.txt")
         with open(path, "rb") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert len(lines) == 22
+        assert len(lines) == 34
         for argv_line, report in zip(lines[0::2], lines[1::2]):
             assert render_report(json.loads(argv_line)) == report, argv_line
 

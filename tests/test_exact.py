@@ -39,94 +39,74 @@ class TestCyclotomic:
 class TestPhaseSum:
     def test_full_cycle_is_zero(self):
         for n in (2, 3, 5, 6, 12):
-            s = PhaseSum()
-            for k in range(n):
-                s.add(Fraction(k, n))
-            assert s.is_zero()
+            assert PhaseSum({k: 1 for k in range(n)}, n).is_zero()
 
     def test_partial_cycle_not_zero(self):
-        s = PhaseSum()
-        s.add(Fraction(0))
-        s.add(Fraction(1, 3))
-        assert not s.is_zero()
+        assert not PhaseSum({0: 1, 1: 1}, 3).is_zero()
 
     def test_mixed_representations_equal(self):
-        # 1 + w + w^2 = 0 for the cube root w, so 1 = -w - w^2
-        lhs = PhaseSum()
-        lhs.add(Fraction(0))
-        rhs = PhaseSum()
-        rhs.add(Fraction(1, 3), -1)
-        rhs.add(Fraction(2, 3), -1)
-        assert lhs == rhs
+        # 1 + w + w^2 = 0 for the cube root w, so 1 = -w - w^2, also when
+        # the cube roots are written at level 6
+        one = PhaseSum({0: 1}, 1)
+        for rhs in (PhaseSum({1: -1, 2: -1}, 3), PhaseSum({2: -1, 4: -1}, 6)):
+            assert rhs.integer_value() == one.integer_value() == 1
+        assert PhaseSum({2: -1, 4: -1}, 6)._reduced() == PhaseSum({1: -1, 2: -1}, 3)._reduced()
 
     def test_numeric_consistency(self):
-        s = PhaseSum()
-        s.add(Fraction(1, 8), 2)
-        s.add(Fraction(3, 4), -1)
-        val = s.to_complex()
+        val = PhaseSum({1: 2, 6: -1}, 8).to_complex()
         assert abs(val - (2 * complex(2 ** -0.5, 2 ** -0.5) - (-1j))) < 1e-12
+
+    @staticmethod
+    def _at_twelve(pairs):
+        counts = Counter()
+        for num, mult in pairs:
+            counts[num] += mult
+        return PhaseSum(counts, 12)
 
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(-3, 3)),
                     max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_zero_test_matches_numerics(self, pairs):
-        s = PhaseSum()
-        for num, mult in pairs:
-            s.add(Fraction(num, 12), mult)
+        s = self._at_twelve(pairs)
         assert s.is_zero() == (abs(s.to_complex()) < 1e-9)
 
     def test_integer_value_of_full_cycle_is_zero(self):
         for n in (2, 3, 5, 6, 12):
-            s = PhaseSum()
-            for k in range(n):
-                s.add(Fraction(k, n))
-            assert s.integer_value() == 0
+            assert PhaseSum({k: 1 for k in range(n)}, n).integer_value() == 0
 
     def test_integer_value_of_primitive_cube_root_is_none(self):
-        s = PhaseSum()
-        s.add(Fraction(1, 3))
-        assert s.integer_value() is None
+        assert PhaseSum({1: 1}, 3).integer_value() is None
 
     def test_integer_value_reads_back_integers(self):
         # w + w^2 = -1 for the cube root w; -1 counted twice is -2
-        s = PhaseSum()
-        s.add(Fraction(1, 3), 2)
-        s.add(Fraction(2, 3), 2)
-        s.add(Fraction(0), 5)
-        assert s.integer_value() == 3
-        assert PhaseSum().integer_value() == 0
+        assert PhaseSum({1: 2, 2: 2, 0: 5}, 3).integer_value() == 3
+        assert PhaseSum({}, 7).integer_value() == 0
 
     @given(st.lists(st.tuples(st.integers(0, 11), st.integers(-3, 3)),
                     max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_integer_value_matches_numerics(self, pairs):
-        s = PhaseSum()
-        for num, mult in pairs:
-            s.add(Fraction(num, 12), mult)
+        s = self._at_twelve(pairs)
         val = s.to_complex()
         near = round(val.real)
         expected = near if abs(val - near) < 1e-9 else None
         assert s.integer_value() == expected
 
-    def test_scaled(self):
-        s = PhaseSum()
-        s.add(Fraction(1, 2), 3)
-        assert s.scaled(2).terms[Fraction(1, 2)] == 6
-
 
 class TestReducedAgainstReference:
-    """The residue-class reduction against the reduction modulo the full
-    cyclotomic polynomial of the level."""
+    """The residue-class reduction at the least level against the
+    reduction of the `Fraction` phases modulo the full cyclotomic
+    polynomial of their common denominator."""
 
     @staticmethod
     def _random_sums(levels, count, seed):
         rng = random.Random(seed)
         for _ in range(count):
             level = rng.choice(levels)
-            terms = Counter()
+            counts = Counter()
             for _ in range(rng.randint(0, 10)):
-                terms[Fraction(rng.randrange(level), level) % 1] += rng.randint(-3, 3)
-            yield terms
+                counts[rng.randrange(level)] += rng.randint(-3, 3)
+            yield counts, level
 
     @pytest.mark.parametrize("levels", [
         (2, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 128, 243, 256),  # prime powers
@@ -134,5 +114,6 @@ class TestReducedAgainstReference:
         (12, 18, 24, 36, 45, 72, 100, 108, 144, 180, 360, 504),  # mixed
     ])
     def test_matches_reference(self, levels):
-        for terms in self._random_sums(levels, 300, len(levels)):
-            assert PhaseSum(terms)._reduced() == reference_reduced(terms), terms
+        for counts, level in self._random_sums(levels, 300, len(levels)):
+            terms = {Fraction(r, level): n for r, n in counts.items()}
+            assert PhaseSum(counts, level)._reduced() == reference_reduced(terms), counts

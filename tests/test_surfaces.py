@@ -9,12 +9,12 @@ from latticecft.surfaces import (
     IN,
     OUT,
     BlockLabel,
+    IntersectionForm,
     Surface,
     delta_obstruction,
     glue,
     h1_rank,
     homology_basis,
-    intersection_matrix,
 )
 
 from oracles import cw_h1_rank
@@ -57,7 +57,7 @@ class TestH1Rank:
 
 class TestIntersectionForm:
     def test_closed_torus_z2_formula(self, z2):
-        form = intersection_matrix(Surface.closed(1), z2)
+        form = IntersectionForm(Surface.closed(1), z2)
         assert form.rank == 2
         for x1 in range(2):
             for y1 in range(2):
@@ -68,7 +68,7 @@ class TestIntersectionForm:
 
     def test_boundary_parallel_in_kernel(self, z3):
         s = Surface.connected(1, [("c0", OUT), ("c1", IN), ("c2", IN)])
-        form = intersection_matrix(s, z3)
+        form = IntersectionForm(s, z3)
         slots = form.basis.slots
         for k, slot in enumerate(slots):
             if slot.kind != "boundary":
@@ -84,11 +84,11 @@ class TestIntersectionForm:
 
     def test_genus_zero_identically_zero(self, z3):
         s = Surface.connected(0, [("c0", OUT), ("c1", IN), ("c2", IN)])
-        form = intersection_matrix(s, z3)
+        form = IntersectionForm(s, z3)
         assert all(all(v == 0 for v in row) for row in form.J)
 
     def test_cocycle_antisymmetrizes_to_pairing(self, z2):
-        form = intersection_matrix(Surface.closed(2), z2)
+        form = IntersectionForm(Surface.closed(2), z2)
         rng = random.Random(0)
         for _ in range(50):
             x = tuple((rng.randrange(2),) for _ in range(form.rank))
