@@ -404,11 +404,7 @@ def criterion_08_characters(tol: Tolerances, seed: int,
         sectors = 0
         for phi in disc.elements():
             ch = fock.sector_character(lat, disc, phi, 10)
-            counts = [0] * 11
-            for st in fock.enumerate_sector_states(lat, disc, phi, 10):
-                counts[int(st.energy(lat) - ch.ground_energy)] += 1
-            if list(ch.coefficients) != counts:
-                ok = False
+            ok &= list(ch.coefficients) == fock.sector_state_counts(lat, disc, phi, 10)
             sectors += 1
         per_lattice[name] = sectors
     sewing = {}

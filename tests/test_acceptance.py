@@ -4,8 +4,11 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines; the CLI
 equivalent is `latticecft accept`.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from latticecft import fock
 from latticecft.acceptance import (
     ALL_CRITERIA,
     DEFAULT_SEED,
@@ -23,6 +26,7 @@ from latticecft.acceptance import (
     run_all,
 )
 from latticecft.blocks import genus1_mcg_rep
+from latticecft.errors import NonIntegralEnergy
 from latticecft.lattices import BUNDLED_GRAMS, discriminant_group, validate_even_lattice
 
 TOL = Tolerances()
@@ -80,6 +84,44 @@ def test_criterion_08_characters():
                    "z4": {"max_energy": 12, "equal": True},
                    "a2": {"max_energy": 8, "equal": True},
                    "z2z2": {"max_energy": 8, "equal": True}}}
+
+
+class TestCharactersCriterionBites:
+    def test_one_dropped_state_fails(self, monkeypatch):
+        real = fock.sector_state_counts
+        calls = []
+
+        def short_once(*args):
+            counts = real(*args)
+            if not calls:
+                counts[-1] -= 1
+            calls.append(args)
+            return counts
+
+        monkeypatch.setattr(fock, "sector_state_counts", short_once)
+        assert not criterion_08_characters(TOL, DEFAULT_SEED).passed
+        assert len(calls) == 35
+
+    def test_non_coset_lift_is_refused(self, monkeypatch):
+        # (1/3, ...) lies in no coset of any of the lattices in their duals;
+        # the first count to meet it refuses it
+        monkeypatch.setattr(fock, "minimal_norm_lift",
+                            lambda lat, disc, phi: (Fraction(1, 3),) * lat.rank)
+        with pytest.raises(NonIntegralEnergy):
+            criterion_08_characters(TOL, DEFAULT_SEED)
+
+    def test_non_minimal_lift_is_refused(self, monkeypatch):
+        # one lattice unit above the minimal lift: the generating function
+        # does not notice, the explicit counts meet a negative offset
+        real = fock.minimal_norm_lift
+
+        def raised(lat, disc, phi):
+            lift = real(lat, disc, phi)
+            return (lift[0] + 1,) + lift[1:]
+
+        monkeypatch.setattr(fock, "minimal_norm_lift", raised)
+        with pytest.raises(NonIntegralEnergy, match="not in 0..10"):
+            criterion_08_characters(TOL, DEFAULT_SEED)
 
 
 def test_criterion_09_bogoliubov():

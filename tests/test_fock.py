@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latticecft import fock
 from latticecft.errors import NonIntegralEnergy, NotContractive
 from latticecft.fock import (
     FockState,
@@ -24,6 +25,7 @@ from latticecft.fock import (
     partition_counts,
     positive_energy_check,
     sector_character,
+    sector_state_counts,
 )
 from latticecft.lattices import discriminant_group, validate_even_lattice
 
@@ -185,7 +187,9 @@ class TestSectorCharacter:
         states = enumerate_sector_states(lat, disc, disc.zero, 3)
         by_offset = [0, 0, 0, 0]
         for st in states:
-            by_offset[int(st.energy(lat))] += 1
+            e = st.energy(lat)
+            assert e.denominator == 1, st
+            by_offset[e.numerator] += 1
         assert by_offset == [1, 3, 4, 7]
 
 
@@ -290,6 +294,43 @@ class TestAgainstFractionReference:
         with pytest.raises(NonIntegralEnergy) as want:
             reference_lattice_offsets(lat, lift, 2)
         assert str(got.value) == str(want.value)
+
+
+# the lattices criterion 8 counts states on, at its depth
+CRITERION_8_LATTICES = ("a1", "z4", "z6", "z8", "a2", "z2z2", "z2z4")
+
+
+class TestSectorStateCounts:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+    def test_equal_to_binned_state_energies(self, name):
+        gram, energy = REFERENCE_LATTICES[name]
+        energy = min(energy, 6)
+        lat, disc = lattice_pair(gram)
+        for phi in disc.elements():
+            ground = sector_character(lat, disc, phi, 0).ground_energy
+            binned = [0] * (energy + 1)
+            for st in enumerate_sector_states(lat, disc, phi, energy):
+                off = st.energy(lat) - ground
+                assert off.denominator == 1, (phi, st)
+                binned[off.numerator] += 1
+            assert sector_state_counts(lat, disc, phi, energy) == binned, phi
+
+    @pytest.mark.parametrize("name", CRITERION_8_LATTICES)
+    def test_equal_to_brute_force_at_depth_ten(self, name):
+        lat, disc = lattice_pair(REFERENCE_LATTICES[name][0])
+        for phi in disc.elements():
+            lift = minimal_norm_lift(lat, disc, phi)
+            assert sector_state_counts(lat, disc, phi, 10) == \
+                brute_force_sector_counts(lat.gram, lift, 10, lat.rank), phi
+
+    @pytest.mark.parametrize("lift", [(Fraction(1, 3),), (Fraction(1),)])
+    def test_refuses_a_non_coset_or_non_minimal_lift(self, monkeypatch, lift):
+        # 1/3 is not in the dual of [[2]]; 1 is in the vacuum coset but
+        # above its minimum, so the vector 0 sits one unit below the ground
+        lat, disc = lattice_pair([[2]])
+        monkeypatch.setattr(fock, "minimal_norm_lift", lambda *_: lift)
+        with pytest.raises(NonIntegralEnergy, match="not in 0..2"):
+            sector_state_counts(lat, disc, disc.zero, 2)
 
 
 class TestAnnulusSewing:
