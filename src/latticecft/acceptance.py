@@ -201,16 +201,15 @@ def criterion_03_stone_von_neumann(tol: Tolerances, seed: int,
                 reps[lag_name] = heisenberg.induce_from_isotropic(form, gens)
             names = sorted(reps)
             for rep_name in names:
-                dev = abs(heisenberg.commutant_dimension(reps[rep_name]) - 1.0)
-                worst_commutant = max(worst_commutant, dev)
-                ok = ok and dev < tol.stone_von_neumann
+                dim = heisenberg.commutant_dimension(reps[rep_name])
+                worst_commutant = max(worst_commutant, abs(dim - 1.0))
+                ok = ok and dim == 1
                 cases += 1
             for i, n1 in enumerate(names):
                 for n2 in names[i + 1:]:
-                    dev = abs(heisenberg.intertwiner_dimension(
-                        reps[n1], reps[n2]) - 1.0)
-                    worst_hom = max(worst_hom, dev)
-                    ok = ok and dev < tol.stone_von_neumann
+                    dim = heisenberg.intertwiner_dimension(reps[n1], reps[n2])
+                    worst_hom = max(worst_hom, abs(dim - 1.0))
+                    ok = ok and dim == 1
                     if reps[n1].dimension <= 9:
                         nullity, m = heisenberg.explicit_intertwiner(
                             reps[n1], reps[n2])
@@ -219,7 +218,7 @@ def criterion_03_stone_von_neumann(tol: Tolerances, seed: int,
                             m = m / np.linalg.norm(m, 2)
                             unitary_dev = float(np.max(np.abs(
                                 m.conj().T @ m - np.eye(reps[n1].dimension))))
-                        ok = ok and nullity == 1 and unitary_dev < 1e-7
+                        ok = ok and nullity == 1 and unitary_dev < tol.stone_von_neumann
                         explicit_checked += 1
     return CriterionResult(3, "Stone-von Neumann at finite scale", ok,
                            {"representations_checked": cases,
@@ -242,12 +241,11 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
         form = IntersectionForm.closed_genus(disc, 1)
         elements, zero = heisenberg.enumerate_h1(form), form.zero()
         rows, n = np.array(elements).reshape(len(elements), -1), disc.exponent
-        pairing = form.cocycle_int - form.cocycle_int.T
         subgroups = heisenberg.isotropic_subgroups(form)
         for sub in subgroups:
             rep = heisenberg.induce_from_isotropic(form, sub)
             b = np.array(sub).reshape(len(sub), -1)
-            perp = int(np.sum(~np.any(rows @ pairing % n @ b.T % n, axis=1)))
+            perp = int(np.sum(~np.any(rows @ form.pairing_int % n @ b.T % n, axis=1)))
             mult = math.isqrt(perp // len(sub))
             if mult * len(sub) != disc.order or mult * mult * len(sub) != perp:
                 ok = False

@@ -5,12 +5,11 @@ graded by energy <x,x>/2 + |partition|; characters are integer q-series
 computed by generating functions and cross-checked against explicit state
 enumeration.  Energies are integer numerators over a known denominator:
 with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
-p^T G p over 2 D^2.  `minimal_norm_lift` and the one state walk behind
-`enumerate_sector_states` and `sector_state_counts` (criterion 8's explicit
-counts) compare numerators over the D their box shares.  `_lattice_offsets`
-still builds a `Fraction` norm per box point until one ellipsoid enumerator
-replaces the box scans: alone, a faster `sector_character` would raise the
-`characters` benchmark's repetition count and with it its peak RSS.
+p^T G p over 2 D^2.  `minimal_norm_lift` compares numerators over the D
+its box shares, and one coset walk over lift + Z^r yields each vector's
+energy offset as a numerator over 2 D^2: `sector_character` bins it, and
+the state walk behind `enumerate_sector_states` and `sector_state_counts`
+(criterion 8's explicit counts) adds its oscillator states on top.
 The oscillator algebra is realized on the truncated basis with
 [a_m, a_n^+] = m delta, the normalization in which the structure
 constants stay integral.  Bogoliubov vacuum overlaps are the finite-mode
@@ -240,6 +239,8 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
                       phi: GroupElement) -> tuple[Fraction, ...]:
     """Minimal-norm dual-lattice representative of the coset phi, ties
     broken lexicographically."""
+    # its own box around disc.lift, not `_coset_walk`'s: folded into the
+    # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
     den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
     q0 = _form_int(lat.gram, p0)
@@ -256,25 +257,26 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
     return best[1]
 
 
-def _lattice_offsets(lat: EvenLattice, lift: tuple[Fraction, ...],
-                     max_energy: int) -> list[int]:
-    """Counts, by integer energy offset above the ground energy, of the
-    coset vectors lift + Z^r."""
-    r = lat.rank
-    ground = _gram_quadratic(lat.gram, lift) / 2
-    bound = ground + max_energy
-    half = int(math.ceil(math.sqrt(2 * float(bound) / _lam_min(lat) + 1e-12))) + 1
-    counts = [0] * (max_energy + 1)
-    for mu in _box(half, r):
-        v = tuple(l0 + m for l0, m in zip(lift, mu))
-        e = _gram_quadratic(lat.gram, v) / 2
-        if e <= bound:
-            off = e - ground
-            if off.denominator != 1:
-                raise NonIntegralEnergy(
-                    f"coset energies differ by {off}, not an integer")
-            counts[int(off)] += 1
-    return counts
+def _coset_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
+    """The coset vectors lift + mu with energy up to ground + max_offset: returns
+    2 D^2 and an iterator of (mu, n), n / (2 D^2) the vector's energy offset."""
+    den, p0 = _numerators(lift)
+    scale = 2 * den * den  # energies are integers over 2 D^2
+    bound = (q0 := _form_int(lat.gram, p0)) + scale * max_offset
+    # bound / scale is correctly rounded: float() of the Fraction bound
+    half = int(math.ceil(math.sqrt(2 * (bound / scale) / _lam_min(lat)
+                                   + 1e-12))) + 1
+    vectors = ((mu, _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]))
+               for mu in _box(half, lat.rank))
+    return scale, ((mu, q - q0) for mu, q in vectors if q <= bound)
+
+
+def _offset(n: int, scale: int, max_offset: int) -> int:
+    """n / scale as an integer offset in 0..max_offset, else refused."""
+    off, rem = divmod(n, scale)
+    if rem or not 0 <= off <= max_offset:
+        raise NonIntegralEnergy(f"offset {Fraction(n, scale)} not in 0..{max_offset}")
+    return off
 
 
 def partition_counts(max_energy: int, colors: int) -> list[int]:
@@ -304,7 +306,10 @@ def sector_character(lat: EvenLattice, disc: DiscriminantGroup,
         raise ValueError(f"max_energy must be nonnegative, got {max_energy}")
     lift = minimal_norm_lift(lat, disc, phi)
     ground = _gram_quadratic(lat.gram, lift) / 2
-    offsets = _lattice_offsets(lat, lift, max_energy)
+    offsets = [0] * (max_energy + 1)
+    scale, vectors = _coset_walk(lat, lift, max_energy)
+    for _, n in vectors:
+        offsets[_offset(n, scale, max_energy)] += 1
     osc = partition_counts(max_energy, lat.rank)
     coeffs = [sum(offsets[k] * osc[e - k] for k in range(e + 1))
               for e in range(max_energy + 1)]
@@ -327,25 +332,17 @@ class FockState:
 
 
 def _sector_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
-    """The sector's states up to ground + max_offset, per lattice vector lift + mu:
+    """The sector's states up to ground + max_offset, per `_coset_walk` vector:
     yields (mu, n, scale, occs, energies), n / scale its energy offset, occs its states."""
-    den, p0 = _numerators(lift)
-    scale = 2 * den * den  # energies are integers over 2 D^2
-    bound = (q0 := _form_int(lat.gram, p0)) + scale * max_offset
-    # bound / scale is correctly rounded: float() of the Fraction bound
-    half = int(math.ceil(math.sqrt(2 * (bound / scale) / _lam_min(lat)
-                                   + 1e-12))) + 1
+    scale, vectors = _coset_walk(lat, lift, max_offset)
     tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
     osc_states = oscillator_basis(tr)
     # the basis is sorted by energy, so a vector's states are a prefix
     osc_energies = [occupation_energy(occ) for occ in osc_states]
-    for mu in _box(half, lat.rank):
-        q = _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)])
-        if q > bound:
-            continue
-        room = bisect.bisect_right(osc_energies, (bound - q) // scale)
-        yield mu, q - q0, scale, osc_states[:room], osc_energies[:room]
+    for mu, n in vectors:
+        room = bisect.bisect_right(osc_energies, (scale * max_offset - n) // scale)
+        yield mu, n, scale, osc_states[:room], osc_energies[:room]
 
 
 def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
@@ -365,9 +362,7 @@ def sector_state_counts(lat: EvenLattice, disc: DiscriminantGroup,
     counts = [0] * (max_offset + 1)
     lift = minimal_norm_lift(lat, disc, phi)
     for _, n, scale, _, energies in _sector_walk(lat, lift, max_offset):
-        off, rem = divmod(n, scale)  # the states' offsets are off + |occ|
-        if rem or off < 0 or off + energies[-1] > max_offset:
-            raise NonIntegralEnergy(f"offset {Fraction(n, scale)} not in 0..{max_offset}")
+        off = _offset(n, scale, max_offset)  # the states' offsets are off + |occ|
         for e in energies:
             counts[off + e] += 1
     return counts

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they certify: determinants by
 Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
-raw summation, state counts by explicit enumeration, modular data one
-entry at a time from the lifts and the Gram matrix, Heisenberg commutant
+raw summation, state counts by explicit enumeration, the A2 and D4 theta
+series in closed form by divisor sums, modular data one entry at a time
+from the lifts and the Gram matrix, Heisenberg commutant
 and Hom dimensions as float character sums, the factorization sum as a
 tuple loop over label assignments, and the earlier `Fraction` versions
 of the fock energies and of the cyclotomic reduction of a phase sum.
@@ -196,6 +197,20 @@ def colored_partition_states(max_energy, colors):
 
     rec(0, max_energy)
     return counts
+
+
+def theta_a2(max_energy) -> list[int]:
+    """Theta series of A2 by norm/2: 1 + sum 6 (d_{1,3}(n) - d_{2,3}(n)) q^n,
+    d_{i,3}(n) the number of divisors of n that are i mod 3."""
+    return [1] + [6 * sum((d % 3 == 1) - (d % 3 == 2)
+                          for d in range(1, n + 1) if n % d == 0)
+                  for n in range(1, max_energy + 1)]
+
+
+def theta_d4(max_energy) -> list[int]:
+    """Theta series of D4 by norm/2: 1 + sum 24 (sum of the odd divisors of n) q^n."""
+    return [1] + [24 * sum(d for d in range(1, n + 1, 2) if n % d == 0)
+                  for n in range(1, max_energy + 1)]
 
 
 def quadrature_loop_pairing(xi_fn, deta_fn, n_points=4096) -> float:

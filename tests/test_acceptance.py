@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticecft import fock
+from latticecft import fock, heisenberg
 from latticecft.acceptance import (
     ALL_CRITERIA,
     DEFAULT_SEED,
@@ -53,6 +53,18 @@ def test_criterion_03_stone_von_neumann():
                               "explicit_intertwiners": 42,
                               "max_commutant_deviation": 0.0,
                               "max_hom_deviation": 0.0}
+
+
+class TestStoneVonNeumannCriterionBites:
+    # the dimensions are exact ints, so no tolerance may forgive a wrong one
+    @pytest.mark.parametrize("name,wrong,tolerance", [
+        ("commutant_dimension", 2, 2.0), ("intertwiner_dimension", 0, 1.5)])
+    def test_wrong_dimension_fails_at_any_tolerance(self, monkeypatch, name,
+                                                    wrong, tolerance):
+        monkeypatch.setattr(heisenberg, name, lambda *_: wrong)
+        result = criterion_03_stone_von_neumann(Tolerances.overridden(tolerance),
+                                                DEFAULT_SEED)
+        assert not result.passed
 
 
 def test_criterion_04_induced_decomposition():
@@ -111,8 +123,8 @@ class TestCharactersCriterionBites:
             criterion_08_characters(TOL, DEFAULT_SEED)
 
     def test_non_minimal_lift_is_refused(self, monkeypatch):
-        # one lattice unit above the minimal lift: the generating function
-        # does not notice, the explicit counts meet a negative offset
+        # one lattice unit above the minimal lift: the first scan to meet
+        # the vector below it refuses its negative offset
         real = fock.minimal_norm_lift
 
         def raised(lat, disc, phi):
