@@ -252,9 +252,10 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
             expected_dim = mult * disc.order
             if rep.dimension != expected_dim:
                 ok = False
-            for x in elements:  # expected_dim at zero, exactly 0 elsewhere
-                want = expected_dim if x == zero else 0
-                ok = ok and rep.trace_phase_sum(x).integer_value() == want
+            traces = rep.trace_phase_sums(elements)  # expected_dim at zero, else 0
+            value = {t: t.integer_value() for t in set(traces)}  # once per distinct sum
+            ok = ok and all(value[t] == (expected_dim if x == zero else 0)
+                            for x, t in zip(elements, traces))
         per_lattice[name] = len(subgroups)
     return CriterionResult(
         4, "induced-representation decomposition, exact characters", ok,

@@ -500,22 +500,20 @@ def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
     span = width / math.sqrt(min(lam, 1.0))
     xs = np.linspace(-span, span, points_per_dim)
     if dim == 1:
-        psi0 = np.exp(-xs ** 2 / 2)
-        psit = np.exp(-m[0, 0] * xs ** 2 / 2)
-        inner = np.trapezoid(np.conj(psi0) * psit, xs)
-        n0 = np.trapezoid(np.abs(psi0) ** 2, xs)
-        nt = np.trapezoid(np.abs(psit) ** 2, xs)
-        return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
-    x0, x1 = np.meshgrid(xs, xs, indexing="ij")
-    quad = (m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2)
-    psi0 = np.exp(-(x0 ** 2 + x1 ** 2) / 2)
-    psit = np.exp(-quad / 2)
+        psi0, psit = np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2)
+    else:
+        x0, x1 = xs[:, None], xs[None, :]
+        quad = (m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2)
+        psi0 = np.exp(-(x0 ** 2 + x1 ** 2) / 2)
+        psit = np.exp(-quad / 2)
 
-    def integrate(f):
-        return np.trapezoid(np.trapezoid(f, xs, axis=1), xs, axis=0)
+    def integrate(f):  # the last axis first
+        for _ in range(dim):
+            f = np.trapezoid(f, xs, axis=-1)
+        return f
 
-    inner = integrate(np.conj(psi0) * psit)
-    n0 = integrate(np.abs(psi0) ** 2)
+    inner = integrate(psi0 * psit)  # psi0 is real and positive
+    n0 = integrate(psi0 ** 2)
     nt = integrate(np.abs(psit) ** 2)
     return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
 

@@ -14,19 +14,19 @@ element is a row of rank * k ints (k invariant factors per slot), and its
 position is the index the mixed-radix indexer of `lattices` gives that
 row, which is its place in `enumerate_h1`.  Subgroups, cosets and
 splittings are sets of such positions with integer phases.  Each
-representation holds one integer monomial map from a row to a
-permutation array and a phase array mod M; `monomial` reads it back as
-exact tuples and `Fraction`s.  Commutant and intertwiner dimensions are
-exact integers from the character pairing of Stone-von Neumann; floats
-appear only in `matrix` and the nullspace solve of `explicit_intertwiner`.
+representation holds one integer monomial map from a stack of rows to
+stacked permutation and phase arrays mod M, and one table of its traces
+as phase histograms built in stacked passes, which the integer commutant
+and Hom dimensions read (Stone-von Neumann's character pairing); floats
+appear only in `matrix` and `explicit_intertwiner`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,8 @@ from .errors import (
     NotIsotropic,
 )
 from .exact import PhaseSum
-from .lattices import DENSE_ENTRY_BUDGET, DiscriminantGroup, _MixedRadix, _within_budget
+from .lattices import (DENSE_ENTRY_BUDGET, SLAB, DiscriminantGroup, _MixedRadix,
+                       _within_budget)
 from .surfaces import IntersectionForm, Surface
 
 Coords = tuple[tuple[int, ...], ...]
@@ -134,12 +135,12 @@ class UnitaryRep:
     rho(X) rho(Y) = e^(2 pi i chi c(X,Y)) rho(X + Y) with c the bilinear
     cocycle of the intersection form and chi the central exponent.
 
-    One integer map carries the representation: `monomial_fn` takes X as
-    a grid row and returns m_X as an int array and M alpha_X mod M as an
-    int array, M = `modulus`.  `monomial` and `trace_phase_sum` are its
-    exact readings and `matrix` its only float view.  `support` is a
-    sorted int array of grid positions; every X off it moves every basis
-    point, so its trace is exactly zero.
+    One integer map carries the representation: `monomial_fn` takes a
+    stack of grid rows (..., rank * k) and returns m_X and M alpha_X mod M
+    as int arrays (..., dimension), M = `modulus`.  `monomial` and the
+    traces are its exact readings and `matrix` its only float view.
+    `support` is a sorted int array of grid positions; every X off it
+    moves every basis point, so its trace is exactly zero.
     """
 
     def __init__(self, form: IntersectionForm, dimension: int, monomial_fn,
@@ -182,15 +183,38 @@ class UnitaryRep:
         m[np.arange(n), perm] = roots[inverse]
         return m
 
-    def _histogram(self, y: np.ndarray, m: int) -> np.ndarray:
-        """counts[a]: the basis points that rho(y) fixes with phase a/m."""
-        perm, alpha = self._monomial(y)
-        fixed = alpha[perm == np.arange(self.dimension)] * (m // self.modulus)
-        return np.bincount(fixed, minlength=m)
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hists, ids): the distinct phase histograms mod M of the fixed points
+        (row 0 zero) and the row of each support element, then (0) of any other."""
+        n, m, support = self.dimension, self.modulus, self.support
+        ids, index = np.zeros(len(support) + 1, dtype=np.int64), {bytes(8 * m): 0}
+        step = max(1, SLAB // max(n, m))  # at most SLAB points or histogram cells a pass
+        for start in range(0, len(support), step):
+            perm, alpha = self._monomial(self._grid.rows(support[start:start + step]))
+            rows, cols = np.nonzero(perm == np.arange(n))
+            hists = np.bincount(rows * m + alpha[rows, cols], minlength=len(perm) * m)
+            ids[start:start + len(perm)] = [index.setdefault(h.tobytes(), len(index))
+                                            for h in hists.astype(np.int64).reshape(-1, m)]
+        return np.frombuffer(b"".join(index), dtype=np.int64).reshape(-1, m), ids
+
+    def _character(self, positions: np.ndarray, m: int):
+        """The table's histograms strided onto phases mod m, and each position's row."""
+        (hists, ids), s = self._table, self.support
+        i = np.minimum(np.searchsorted(s, positions), len(s) - 1)
+        out = np.zeros((len(hists), m), dtype=np.int64)
+        out[:, ::m // self.modulus] = hists
+        return out, ids[np.where(s[i] == positions, i, -1)]
+
+    def trace_phase_sums(self, xs) -> list[PhaseSum]:
+        """tr rho(x) for each x, exactly; equal histograms share one sum."""
+        hists, ids = self._character(_positions(self._grid, xs), self.modulus)
+        rows, inverse = np.unique(ids, return_inverse=True)
+        sums = [PhaseSum(dict(enumerate(hists[r].tolist())), self.modulus) for r in rows]
+        return [sums[j] for j in inverse.reshape(-1).tolist()]
 
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        m = self.modulus
-        return PhaseSum(dict(enumerate(self._histogram(self.form._row(x), m).tolist())), m)
+        return self.trace_phase_sums([x])[0]
 
     def generator_elements(self) -> list[HeisenbergElement]:
         return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
@@ -201,10 +225,9 @@ class UnitaryRep:
         n1, m = self.dimension, math.lcm(self.modulus, other.modulus)
 
         def mono(y):
-            p1, a1 = self._monomial(y)
-            p2, a2 = other._monomial(y)
-            return (np.concatenate([p1, p2 + n1]),
-                    np.concatenate([a1 * (m // self.modulus), a2 * (m // other.modulus)]))
+            (p1, a1), (p2, a2) = self._monomial(y), other._monomial(y)
+            return (np.concatenate([p1, p2 + n1], axis=-1), np.concatenate(
+                [a1 * (m // self.modulus), a2 * (m // other.modulus)], axis=-1))
 
         return UnitaryRep(self.form, n1 + other.dimension, mono, m,
                           np.union1d(self.support, other.support),
@@ -258,10 +281,10 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     table, chi_n = disc.bilinear_int, chi % n
 
     def mono(y):
-        xa, xb = y.reshape(genus, 2, k).transpose(1, 0, 2)
-        shifted = (points - xb.reshape(-1)) % basis.radices
-        pairing = (xa @ table % n).reshape(-1)  # N b(x_a, .) slot by slot
-        return basis.index(shifted), shifted @ pairing % n * chi_n % n
+        xa, xb = np.moveaxis(y.reshape(*y.shape[:-1], genus, 2, k), -2, 0)
+        shifted = (points - xb.reshape(*xb.shape[:-2], 1, -1)) % basis.radices
+        pairing = (xa @ table % n).reshape(*xa.shape[:-2], -1, 1)  # N b(x_a, .) by slot
+        return basis.index(shifted), (shifted @ pairing)[..., 0] % n * chi_n % n
 
     # traces vanish off the a-cycle span: any b-shift moves every basis point
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
@@ -312,14 +335,15 @@ def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
 def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     """All subgroups of H1(S; A), each as a sorted element list."""
     grid = _h1_grid(form, SUBGROUP_LIMIT)
-    trivial = frozenset({0})
-    seen = {trivial}
-    frontier = [trivial]
+    seen, frontier = {frozenset({0})}, [frozenset({0})]
     while frontier:
         nxt = []
         for sub in frontier:
+            # <H, x> depends only on the coset x + H: one x per coset
+            rows, tried = grid.rows(list(sub)), set(sub)
             for x in range(grid.size):
-                if x not in sub:
+                if x not in tried:
+                    tried.update(grid.index(grid.rows(x) + rows).tolist())
                     bigger = _extend_subgroup(grid, sub, x)
                     if bigger not in seen:
                         seen.add(bigger)
@@ -441,10 +465,10 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     def mono(y):
         # sections invariant under the lifted subgroup satisfy
         # F(b + x) = e^(-2 pi i (chi(b) + c(b, x))) F(x)
-        x = r + y
+        x = r + y[..., None, :]
         t2 = label[grid.index(x)]
         b = x - r[t2]
-        c = (left @ y - np.einsum("ij,ij->i", b, right[t2])) % n
+        c = (y @ left.T - np.einsum("...ij,...ij->...i", b, right[t2])) % n
         chi_b = chi_m[np.searchsorted(members, grid.index(b))]
         return t2, (c * (big_m // n) - chi_b) % big_m
 
@@ -457,20 +481,17 @@ def induce_from_isotropic(form: IntersectionForm, generators,
 
 
 def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
-    """dim Hom(rep1, rep2) = (1/|H1|) sum_x tr rho1(x) conj(tr rho2(x)),
-    exactly: with u, v the phase histograms mod m of the traces at x, the
-    term is the integer product u(z) v(1/z) in Z[z]/(z^m - 1), formed once
-    per distinct (u, v).  Different central characters give 0."""
+    """dim Hom(rep1, rep2) = (1/|H1|) sum_x tr rho1(x) conj(tr rho2(x)), exactly:
+    the term at x is u(z) v(1/z) in Z[z]/(z^m - 1) for the tables' histograms u, v
+    mod m, once per distinct (u, v).  Different central characters give 0."""
     if not _same_group(rep1, rep2):
         return 0
-    m, pairs = math.lcm(rep1.modulus, rep2.modulus), Counter()
-    for y in rep1._grid.rows(np.intersect1d(rep1.support, rep2.support)):
-        u = rep1._histogram(y, m)
-        pairs[u.tobytes(), (u if rep2 is rep1 else rep2._histogram(y, m)).tobytes()] += 1
-    sums = np.zeros(m, dtype=np.int64)
-    for (u, v), count in pairs.items():
-        u, v = np.frombuffer(u, dtype=np.intp), np.frombuffer(v, dtype=np.intp)
-        sums += count * np.correlate(np.concatenate([u, u]), v, "valid")[:m]
+    m = math.lcm(rep1.modulus, rep2.modulus)
+    common = np.intersect1d(rep1.support, rep2.support)
+    (h1, i1), (h2, i2) = rep1._character(common, m), rep2._character(common, m)
+    pairs, counts = np.unique(np.stack([i1, i2], axis=1), axis=0, return_counts=True)
+    sums = sum(count * np.correlate(np.concatenate([h1[i], h1[i]]), h2[j], "valid")[:m]
+               for (i, j), count in zip(pairs.tolist(), counts.tolist()))
     value = PhaseSum(dict(enumerate(sums.tolist())), m).integer_value()
     if value is None or value % rep1._grid.size:
         raise ArithmeticError("character pairing is not a multiple of |H1|")

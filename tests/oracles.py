@@ -7,8 +7,9 @@ raw summation, state counts by explicit enumeration, the A2 and D4 theta
 series in closed form by divisor sums, modular data one entry at a time
 from the lifts and the Gram matrix, Heisenberg commutant
 and Hom dimensions as float character sums, the factorization sum as a
-tuple loop over label assignments, and the earlier `Fraction` versions
-of the fock energies and of the cyclotomic reduction of a phase sum.
+tuple loop over label assignments, the earlier `Fraction` versions
+of the fock energies and of the cyclotomic reduction of a phase sum, and
+the earlier meshgrid version of the Gaussian overlap quadrature.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import lcm
 import numpy as np
 
 from latticecft.blocks import block_dimension
-from latticecft.errors import NonIntegralEnergy
+from latticecft.errors import NonIntegralEnergy, NotContractive
 from latticecft.exact import cyclotomic_poly
 from latticecft.fock import ModeTruncation, occupation_energy, oscillator_basis
 from latticecft.surfaces import IN, OUT, BlockLabel, Surface, glue
@@ -316,6 +317,25 @@ def h1_subgroup(form, generators):
     return sorted(seen)
 
 
+def reference_subgroups(form):
+    """Every subgroup of H1 as a sorted element list, by closing each
+    subgroup found with one more element; ordered by size, then by the
+    element lists."""
+    elements = _h1_elements(form.disc, len(form.J))
+    seen = {(elements[0],)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for x in elements:
+                bigger = tuple(h1_subgroup(form, [*sub, x]))
+                if bigger not in seen:
+                    seen.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return [list(sub) for sub in sorted(seen, key=lambda sub: (len(sub), sub))]
+
+
 def induced_monomial(form, subgroup, table):
     """y -> (permutation, phases) of the representation induced from the
     subgroup with splitting `table`, coset by coset: cosets keyed by their
@@ -550,3 +570,36 @@ def reference_reduced(terms) -> list[int]:
             for j, pj in enumerate(phi):
                 vec[i - d + j] -= c * pj
     return vec[:d]
+
+
+def reference_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
+                                 width: float = 10.0) -> float:
+    """`fock.gaussian_overlap_quadrature` on an explicit meshgrid, with
+    the conjugate and modulus of the real vacuum written out."""
+    t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    dim = t.shape[0]
+    if float(np.linalg.norm(t, 2)) >= 1.0:
+        raise NotContractive("operator norm >= 1")
+    m = (np.eye(dim) - t) @ np.linalg.inv(np.eye(dim) + t)
+    lam = float(np.min(np.linalg.eigvalsh(m.real)))
+    span = width / math.sqrt(min(lam, 1.0))
+    xs = np.linspace(-span, span, points_per_dim)
+    if dim == 1:
+        psi0 = np.exp(-xs ** 2 / 2)
+        psit = np.exp(-m[0, 0] * xs ** 2 / 2)
+        inner = np.trapezoid(np.conj(psi0) * psit, xs)
+        n0 = np.trapezoid(np.abs(psi0) ** 2, xs)
+        nt = np.trapezoid(np.abs(psit) ** 2, xs)
+        return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
+    x0, x1 = np.meshgrid(xs, xs, indexing="ij")
+    quad = (m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2)
+    psi0 = np.exp(-(x0 ** 2 + x1 ** 2) / 2)
+    psit = np.exp(-quad / 2)
+
+    def integrate(f):
+        return np.trapezoid(np.trapezoid(f, xs, axis=1), xs, axis=0)
+
+    inner = integrate(np.conj(psi0) * psit)
+    n0 = integrate(np.abs(psi0) ** 2)
+    nt = integrate(np.abs(psit) ** 2)
+    return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))

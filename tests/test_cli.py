@@ -284,7 +284,7 @@ class TestGoldenReports:
                             "reports.txt")
         with open(path, "rb") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert len(lines) == 34
+        assert len(lines) == 36
         for argv_line, report in zip(lines[0::2], lines[1::2]):
             assert render_report(json.loads(argv_line)) == report, argv_line
 

@@ -35,6 +35,7 @@ from oracles import (
     reference_gram_quadratic,
     reference_lattice_offsets,
     reference_minimal_norm_lift,
+    reference_overlap_quadrature,
     reference_sector_states,
     reference_sewing_rhs,
     reference_state_energy,
@@ -427,6 +428,17 @@ class TestBogoliubov:
             got = gaussian_overlap_quadrature(t, points_per_dim=801)
             want = bogoliubov_overlap(t)
             assert abs(got - want) < 1e-8, t
+
+    @pytest.mark.parametrize("t, points", [
+        ([[0.0]], 1601), ([[0.25]], 1601), ([[-0.6]], 1601), ([[0.5 + 0.3j]], 1601),
+        ([[0.2 - 0.55j]], 1601), ([[0.3, 0.1], [0.1, -0.2]], 801),
+        ([[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]], 801),
+        ([[0.0, 0.45], [0.45, 0.0]], 801)])
+    def test_quadrature_bit_identical_to_meshgrid(self, t, points):
+        # the cases of acceptance criterion 9: the broadcast grid and the
+        # real vacuum change no bit of the value
+        assert gaussian_overlap_quadrature(t, points_per_dim=points) == \
+            reference_overlap_quadrature(t, points_per_dim=points)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)

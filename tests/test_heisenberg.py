@@ -15,9 +15,16 @@ from latticecft.errors import (
     NotASplitting,
     NotIsotropic,
 )
-from latticecft.acceptance import SMALL_GRAMS, SWEEP_GRAMS
+from latticecft.acceptance import (
+    DEFAULT_SEED,
+    SMALL_GRAMS,
+    SWEEP_GRAMS,
+    Tolerances,
+    criterion_04_induced_decomposition,
+)
 from latticecft.heisenberg import (
     HeisenbergElement,
+    UnitaryRep,
     canonical_splitting,
     center,
     commutant_dimension,
@@ -44,6 +51,7 @@ from oracles import (
     h1_elements_at,
     h1_subgroup,
     induced_monomial,
+    reference_subgroups,
     schroedinger_monomial,
 )
 
@@ -640,3 +648,105 @@ class TestExactCharacterPairing:
             want = int((c1 - c2) % n == 0)
             assert intertwiner_dimension(reps[c1], reps[c2]) == want, (c1, c2)
             assert explicit_intertwiner(reps[c1], reps[c2])[0] == want, (c1, c2)
+
+
+def exact_row(rep, perm, alpha):
+    """One row of a stacked monomial map as `monomial` reads it."""
+    return tuple(perm.tolist()), tuple(Fraction(a, rep.modulus) for a in alpha.tolist())
+
+
+class TestStackedMaps:
+    """A monomial map on a stack of rows is the map row by row, and the
+    traces read from the character table are the per-element traces."""
+
+    def check(self, rep, reference=None):
+        elements = enumerate_h1(rep.form)
+        stack = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
+        perms, alphas = rep._monomial(stack)
+        assert perms.shape == alphas.shape == (len(elements), rep.dimension)
+        for i, y in enumerate(elements):
+            row = exact_row(rep, perms[i], alphas[i])
+            assert row == exact_row(rep, *rep._monomial(stack[i])) == rep.monomial(y), y
+            if reference is not None:
+                assert row == reference(y), y
+        sums = rep.trace_phase_sums(elements)
+        for x, got, trace in zip(elements, sums, float_traces(rep, elements)):
+            one = rep.trace_phase_sum(x)
+            assert (got.counts, got.level) == (one.counts, one.level), x
+            assert abs(got.to_complex() - trace) < 1e-9, x
+
+    @pytest.mark.parametrize("gram, genus, chi", [  # chi = 2 where A has odd order
+        (gram, genus, chi) for gram in ([[2]], A2, [[4]]) for genus in (1, 2)
+        for chi in (1, 2) if chi == 1 or gram == A2])
+    def test_schroedinger(self, gram, genus, chi):
+        disc = disc_of(gram)
+        self.check(schroedinger_irrep(disc, genus, chi=chi),
+                   lambda y: schroedinger_monomial(disc, genus, y, chi))
+
+    def test_every_isotropic_subgroup_z2_genus_two(self):
+        form = IntersectionForm.closed_genus(disc_of([[2]]), 2)
+        for sub in isotropic_subgroups(form):
+            table = canonical_splitting(form, sub)
+            self.check(induce_from_isotropic(form, sub), induced_monomial(form, sub, table))
+
+    def test_direct_sum(self, z2):
+        form = IntersectionForm.closed_genus(z2, 1)
+        lags = standard_lagrangians(z2, 1)
+        self.check(induce_from_isotropic(form, lags["a_span"]).direct_sum(
+            induce_from_isotropic(form, lags["diagonal"])))
+
+    @pytest.mark.parametrize("gram, genus", [([[2]], 2), ([[2, 0], [0, 2]], 1)])
+    def test_subgroups_unchanged(self, gram, genus):
+        form = IntersectionForm.closed_genus(disc_of(gram), genus)
+        assert enumerate_subgroups(form) == reference_subgroups(form)
+
+
+class TestMonomialWork:
+    """Each representation evaluates its monomial map in one stacked pass
+    for its character table, however many traces are read from it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Monomial-map calls of each representation built, in build order."""
+        calls = []
+        init = UnitaryRep.__init__
+
+        def counting_init(rep, form, dimension, monomial_fn, *args, **kwargs):
+            slot = len(calls)
+            calls.append(0)
+
+            def counted(y):
+                calls[slot] += 1
+                return monomial_fn(y)
+            init(rep, form, dimension, counted, *args, **kwargs)
+
+        monkeypatch.setattr(UnitaryRep, "__init__", counting_init)
+        return calls
+
+    def test_induced_decomposition_one_call_per_representation(self, calls):
+        # 3,613 calls, one per trace, when each trace evaluated the map
+        assert criterion_04_induced_decomposition(Tolerances(), DEFAULT_SEED).passed
+        assert len(calls) == 128
+        assert max(calls) == 1
+
+    def test_pairing_reads_built_tables(self, calls, z3):
+        form = IntersectionForm.closed_genus(z3, 2)
+        reps = [schroedinger_irrep(z3, 2)] + [
+            induce_from_isotropic(form, gens) for gens in standard_lagrangians(z3, 2).values()]
+        for rep in reps:
+            assert commutant_dimension(rep) == 1
+        before = sum(calls)
+        for rep1, rep2 in itertools.combinations(reps, 2):
+            assert intertwiner_dimension(rep1, rep2) == 1
+        assert sum(calls) == before
+
+    def test_table_keeps_distinct_histograms(self):
+        # Z/1024 at genus 1: 1024 support elements, M = 1024; x_a of order d
+        # fixes every point with phases uniform over the d-th roots, so one
+        # histogram per divisor of 1024 besides the zero row
+        rep = schroedinger_irrep(disc_of([[1024]]), 1)
+        assert commutant_dimension(rep) == 1
+        hists, ids = rep._table
+        assert hists.shape == (12, 1024) and not hists[0].any()
+        assert len(ids) == 1025 and ids[-1] == 0
+        assert len({h.tobytes() for h in hists}) == 12
