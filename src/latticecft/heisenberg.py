@@ -183,35 +183,29 @@ class UnitaryRep:
         m[np.arange(n), perm] = roots[inverse]
         return m
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(hists, ids): the distinct phase histograms mod M of the fixed points
-        (row 0 zero) and the row of each support element, then (0) of any other."""
-        n, m, support = self.dimension, self.modulus, self.support
-        ids, index = np.zeros(len(support) + 1, dtype=np.int64), {bytes(8 * m): 0}
+    def _histograms(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct fixed-point phase histograms mod M, and the row of each position."""
+        n, m = self.dimension, self.modulus
+        ids, index = np.empty(len(positions), dtype=np.int64), {}
         step = max(1, SLAB // max(n, m))  # at most SLAB points or histogram cells a pass
-        for start in range(0, len(support), step):
-            perm, alpha = self._monomial(self._grid.rows(support[start:start + step]))
+        for start in range(0, len(positions), step):
+            perm, alpha = self._monomial(self._grid.rows(positions[start:start + step]))
             rows, cols = np.nonzero(perm == np.arange(n))
             hists = np.bincount(rows * m + alpha[rows, cols], minlength=len(perm) * m)
             ids[start:start + len(perm)] = [index.setdefault(h.tobytes(), len(index))
                                             for h in hists.astype(np.int64).reshape(-1, m)]
         return np.frombuffer(b"".join(index), dtype=np.int64).reshape(-1, m), ids
 
-    def _character(self, positions: np.ndarray, m: int):
-        """The table's histograms strided onto phases mod m, and each position's row."""
-        (hists, ids), s = self._table, self.support
-        i = np.minimum(np.searchsorted(s, positions), len(s) - 1)
-        out = np.zeros((len(hists), m), dtype=np.int64)
-        out[:, ::m // self.modulus] = hists
-        return out, ids[np.where(s[i] == positions, i, -1)]
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The histograms of the support, where every nonzero trace lies."""
+        return self._histograms(self.support)
 
     def trace_phase_sums(self, xs) -> list[PhaseSum]:
         """tr rho(x) for each x, exactly; equal histograms share one sum."""
-        hists, ids = self._character(_positions(self._grid, xs), self.modulus)
-        rows, inverse = np.unique(ids, return_inverse=True)
-        sums = [PhaseSum(dict(enumerate(hists[r].tolist())), self.modulus) for r in rows]
-        return [sums[j] for j in inverse.reshape(-1).tolist()]
+        hists, ids = self._histograms(_positions(self._grid, xs))
+        sums = [PhaseSum(dict(enumerate(h)), self.modulus) for h in hists.tolist()]
+        return [sums[i] for i in ids.tolist()]
 
     def trace_phase_sum(self, x: Coords) -> PhaseSum:
         return self.trace_phase_sums([x])[0]
@@ -488,7 +482,13 @@ def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
         return 0
     m = math.lcm(rep1.modulus, rep2.modulus)
     common = np.intersect1d(rep1.support, rep2.support)
-    (h1, i1), (h2, i2) = rep1._character(common, m), rep2._character(common, m)
+
+    def strided(rep):  # the table's histograms onto phases mod m, the row of each common x
+        hists, ids = rep._table
+        spread = hists[:, :, None] * (np.arange(m // rep.modulus) == 0)  # h[k] at k m / M
+        return spread.reshape(len(hists), m), ids[np.searchsorted(rep.support, common)]
+
+    (h1, i1), (h2, i2) = strided(rep1), strided(rep2)
     pairs, counts = np.unique(np.stack([i1, i2], axis=1), axis=0, return_counts=True)
     sums = sum(count * np.correlate(np.concatenate([h1[i], h1[i]]), h2[j], "valid")[:m]
                for (i, j), count in zip(pairs.tolist(), counts.tolist()))

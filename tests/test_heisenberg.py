@@ -702,8 +702,8 @@ class TestStackedMaps:
 
 
 class TestMonomialWork:
-    """Each representation evaluates its monomial map in one stacked pass
-    for its character table, however many traces are read from it."""
+    """Traces of many elements take one stacked pass of the monomial map,
+    and pairings read the built character tables without calling it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -743,10 +743,19 @@ class TestMonomialWork:
     def test_table_keeps_distinct_histograms(self):
         # Z/1024 at genus 1: 1024 support elements, M = 1024; x_a of order d
         # fixes every point with phases uniform over the d-th roots, so one
-        # histogram per divisor of 1024 besides the zero row
+        # histogram per divisor of 1024
         rep = schroedinger_irrep(disc_of([[1024]]), 1)
         assert commutant_dimension(rep) == 1
         hists, ids = rep._table
-        assert hists.shape == (12, 1024) and not hists[0].any()
-        assert len(ids) == 1025 and ids[-1] == 0
-        assert len({h.tobytes() for h in hists}) == 12
+        assert hists.shape == (11, 1024) and len(ids) == 1024
+        assert len({h.tobytes() for h in hists}) == 11
+
+    def test_traces_run_the_map_off_the_support(self, z3):
+        # a support that leaves out the identity does not zero its trace
+        rep = schroedinger_irrep(z3, 1)
+        narrowed = UnitaryRep(rep.form, rep.dimension, rep._monomial, rep.modulus,
+                              rep.support[1:], rep.description)
+        assert narrowed.trace_phase_sum(rep.form.zero()).integer_value() == 3
+        elements = enumerate_h1(rep.form)
+        for got, want in zip(narrowed.trace_phase_sums(elements), float_traces(rep, elements)):
+            assert abs(got.to_complex() - want) < 1e-9
