@@ -19,33 +19,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import blocks, fock, heisenberg, lattices, theta
-from .lattices import BUNDLED_GRAMS, discriminant_group, validate_even_lattice
+from .lattices import BUNDLED_GRAMS, EXTRA_GRAMS, discriminant_group, validate_even_lattice
 from .surfaces import IN, OUT, BlockLabel, Surface, IntersectionForm, glue
 
 DEFAULT_SEED = 1_000_003
 
-SWEEP_GRAMS = dict(BUNDLED_GRAMS)
-SWEEP_GRAMS["z2z8"] = ((2, 0), (0, 8))  # |A| = 16, the sweep bound
 
-SMALL_GRAMS = {  # |A| <= 8, rank <= 2: induced-representation sweeps
-    "a1": ((2,),),
-    "z4": ((4,),),
-    "z6": ((6,),),
-    "z8": ((8,),),
-    "a2": ((2, 1), (1, 2)),
-    "d4": lattices.D4_GRAM,
-    "z2z2": ((2, 0), (0, 2)),
-}
+def _named(*names):
+    """Gram matrices of the bundled and extra lattices, in the given order
+    (criterion 2 draws its random choices in this order)."""
+    grams = {**BUNDLED_GRAMS, **EXTRA_GRAMS}
+    return {name: grams[name] for name in names}
 
-CHARACTER_GRAMS = {  # |A| <= 9, rank <= 2
-    "a1": ((2,),),
-    "z4": ((4,),),
-    "z6": ((6,),),
-    "z8": ((8,),),
-    "a2": ((2, 1), (1, 2)),
-    "z2z2": ((2, 0), (0, 2)),
-    "z2z4": ((2, 0), (0, 4)),
-}
+
+SWEEP_GRAMS = _named("a1", "a2", "d4", "e8", "z2z8")  # |A| <= 16
+SMALL_GRAMS = _named("a1", "z4", "z6", "z8", "a2", "d4", "z2z2")  # |A| <= 8: induction
+CHARACTER_GRAMS = _named("a1", "z4", "z6", "z8", "a2", "z2z2", "z2z4")  # |A| <= 8, rank <= 2
 
 
 @dataclass(frozen=True)
@@ -80,11 +69,8 @@ class CriterionResult:
 
 
 def _discs(grams):
-    out = {}
-    for name, gram in grams.items():
-        lat = validate_even_lattice(gram)
-        out[name] = (lat, discriminant_group(lat))
-    return out
+    lats = {name: validate_even_lattice(gram) for name, gram in grams.items()}
+    return {name: (lat, discriminant_group(lat)) for name, lat in lats.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +178,6 @@ def criterion_03_stone_von_neumann(tol: Tolerances, seed: int,
     ok = True
     for name, (lat, disc) in _discs(SWEEP_GRAMS).items():
         for genus in (1, 2):
-            if disc.order ** (2 * genus) > 10 ** 5:
-                continue
             form = IntersectionForm.closed_genus(disc, genus)
             reps = {"schroedinger": heisenberg.schroedinger_irrep(disc, genus)}
             for lag_name, gens in heisenberg.standard_lagrangians(
@@ -236,26 +220,23 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
     ok = True
     per_lattice = {}
     for name, (lat, disc) in _discs(SMALL_GRAMS).items():
-        if disc.order > 8:
-            continue
         form = IntersectionForm.closed_genus(disc, 1)
-        elements, zero = heisenberg.enumerate_h1(form), form.zero()
-        rows, n = np.array(elements).reshape(len(elements), -1), disc.exponent
+        elements, n = heisenberg.enumerate_h1(form), disc.exponent
+        rows = form.rows(elements)
         subgroups = heisenberg.isotropic_subgroups(form)
         for sub in subgroups:
             rep = heisenberg.induce_from_isotropic(form, sub)
-            b = np.array(sub).reshape(len(sub), -1)
+            b = form.rows(sub)
             perp = int(np.sum(~np.any(rows @ form.pairing_int % n @ b.T % n, axis=1)))
             mult = math.isqrt(perp // len(sub))
-            if mult * len(sub) != disc.order or mult * mult * len(sub) != perp:
-                ok = False
             expected_dim = mult * disc.order
-            if rep.dimension != expected_dim:
-                ok = False
-            traces = rep.trace_phase_sums(elements)  # expected_dim at zero, else 0
+            ok = ok and mult * len(sub) == disc.order and mult * mult * len(sub) == perp
+            ok = ok and rep.dimension == expected_dim
+            # expected_dim at zero, the first element, and 0 elsewhere
+            traces = rep.trace_phase_sums(elements)
             value = {t: t.integer_value() for t in set(traces)}  # once per distinct sum
-            ok = ok and all(value[t] == (expected_dim if x == zero else 0)
-                            for x, t in zip(elements, traces))
+            ok = ok and all(value[t] == (0 if i else expected_dim)
+                            for i, t in enumerate(traces))
         per_lattice[name] = len(subgroups)
     return CriterionResult(
         4, "induced-representation decomposition, exact characters", ok,
@@ -397,9 +378,8 @@ def criterion_08_characters(tol: Tolerances, seed: int,
                             defects=frozenset()) -> CriterionResult:
     ok = True
     per_lattice = {}
-    for name, (lat, disc) in _discs(CHARACTER_GRAMS).items():
-        if disc.order > 9 or lat.rank > 2:
-            continue
+    discs = _discs(CHARACTER_GRAMS)
+    for name, (lat, disc) in discs.items():
         sectors = 0
         for phi in disc.elements():
             ch = fock.sector_character(lat, disc, phi, 10)
@@ -408,10 +388,7 @@ def criterion_08_characters(tol: Tolerances, seed: int,
         per_lattice[name] = sectors
     sewing = {}
     for name, depth in (("a1", 12), ("z4", 12), ("a2", 8), ("z2z2", 8)):
-        gram = CHARACTER_GRAMS[name]
-        lat = validate_even_lattice(gram)
-        disc = discriminant_group(lat)
-        rep = fock.annulus_sewing_check(lat, disc, depth)
+        rep = fock.annulus_sewing_check(*discs[name], depth)
         sewing[name] = {"max_energy": depth, "equal": rep.equal}
         ok = ok and rep.equal
     return CriterionResult(8, "sector characters and annulus sewing, exact",

@@ -481,8 +481,7 @@ def bogoliubov_overlap(t_matrix) -> float:
     return float(det.real) ** 0.25
 
 
-def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
-                                width: float = 10.0) -> float:
+def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601) -> float:
     """The same overlap from wavefunctions: |<psi_0, psi_T>| normalized,
     with psi_T(x) ~ exp(-x^T M x / 2), M = (1 - T)(1 + T)^{-1}, integrated
     on a tensor trapezoid grid.  Supports dimensions 1 and 2; T must be
@@ -497,7 +496,7 @@ def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
         raise NotContractive("operator norm >= 1")
     m = (np.eye(dim) - t) @ np.linalg.inv(np.eye(dim) + t)
     lam = float(np.min(np.linalg.eigvalsh(m.real)))
-    span = width / math.sqrt(min(lam, 1.0))
+    span = 10.0 / math.sqrt(min(lam, 1.0))  # ten widths of the widest direction
     xs = np.linspace(-span, span, points_per_dim)
     if dim == 1:
         psi0, psit = np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2)

@@ -9,11 +9,12 @@ form, which antisymmetrizes to S; on 2-torsion this distinction matters,
 since the commutator of the (X, phase) product is 2S while the commutant
 structure of the representations is governed by S itself.
 
-Representations compute on the integer rows of H1(S; A) = A^rank: an
-element is a row of rank * k ints (k invariant factors per slot), and its
-position is the index the mixed-radix indexer of `lattices` gives that
-row, which is its place in `enumerate_h1`.  Subgroups, cosets and
-splittings are sets of such positions with integer phases.  Each
+Representations compute on the integer rows of H1(S; A) = A^rank that
+the intersection form makes: an element is a row of rank * k ints (k
+invariant factors per slot), and its position is the index the form's
+`grid`, the mixed-radix indexer of `lattices`, gives that row, which is
+its place in `enumerate_h1`.  Subgroups, cosets and splittings are
+sorted arrays of such positions with integer phases.  Each
 representation holds one integer monomial map from a stack of rows to
 stacked permutation and phase arrays mod M, and one table of its traces
 as phase histograms built in stacked passes, which the integer commutant
@@ -106,21 +107,17 @@ def _units(form: IntersectionForm, slots) -> list[Coords]:
             for k in slots for g in form.disc.generators()]
 
 
-def _h1_grid(form: IntersectionForm, limit: int = 2 ** 62) -> _MixedRadix:
-    """H1(S; A) = A^rank on the mixed-radix indexer."""
-    return _MixedRadix(form.disc.invariant_factors, form.rank, limit)
+def _walked(form: IntersectionForm, limit: int) -> _MixedRadix:
+    """The form's grid, for work over all of it: refused past `limit` elements."""
+    if form.grid.size > limit:
+        raise GroupTooLarge(f"{form.grid.size} elements")
+    return form.grid
 
 
 def enumerate_h1(form: IntersectionForm) -> list[Coords]:
-    """All of H1(S; A) in lexicographic order."""
-    grid = _h1_grid(form, H1_LIMIT)
+    """All of H1(S; A) in lexicographic order, which is grid order."""
+    grid = _walked(form, H1_LIMIT)
     return grid.coords(grid.rows(np.arange(grid.size)))
-
-
-def _positions(grid: _MixedRadix, elements) -> np.ndarray:
-    """Grid positions of elements given as coordinate tuples."""
-    rows = np.array(elements, dtype=np.int64).reshape(len(elements), len(grid.radices))
-    return grid.index(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +150,10 @@ class UnitaryRep:
         self.support = support
         self.description = description
         self.chi = chi
-        self._grid = _h1_grid(form)
 
     # monomial data: permutation m and phases alpha, exact
     def monomial(self, x: Coords):
-        perm, alpha = self._monomial(self.form._row(x))
+        perm, alpha = self._monomial(self.form.rows([x])[0])
         m = self.modulus
         return tuple(perm.tolist()), tuple(Fraction(a, m) for a in alpha.tolist())
 
@@ -172,7 +168,7 @@ class UnitaryRep:
             coords, phase = x.X, x.phase
         else:
             coords, phase = x, Fraction(0)
-        perm, alpha = self._monomial(self.form._row(coords))
+        perm, alpha = self._monomial(self.form.rows([coords])[0])
         # one scalar evaluation of the exact phase per distinct residue
         residues, inverse = np.unique(alpha, return_inverse=True)
         extra, modulus = float(self.central_character(phase)), self.modulus
@@ -189,7 +185,7 @@ class UnitaryRep:
         ids, index = np.empty(len(positions), dtype=np.int64), {}
         step = max(1, SLAB // max(n, m))  # at most SLAB points or histogram cells a pass
         for start in range(0, len(positions), step):
-            perm, alpha = self._monomial(self._grid.rows(positions[start:start + step]))
+            perm, alpha = self._monomial(self.form.grid.rows(positions[start:start + step]))
             rows, cols = np.nonzero(perm == np.arange(n))
             hists = np.bincount(rows * m + alpha[rows, cols], minlength=len(perm) * m)
             ids[start:start + len(perm)] = [index.setdefault(h.tobytes(), len(index))
@@ -203,7 +199,7 @@ class UnitaryRep:
 
     def trace_phase_sums(self, xs) -> list[PhaseSum]:
         """tr rho(x) for each x, exactly; equal histograms share one sum."""
-        hists, ids = self._histograms(_positions(self._grid, xs))
+        hists, ids = self._histograms(self.form.grid.index(self.form.rows(xs)))
         sums = [PhaseSum(dict(enumerate(h)), self.modulus) for h in hists.tolist()]
         return [sums[i] for i in ids.tolist()]
 
@@ -283,7 +279,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     # traces vanish off the a-cycle span: any b-shift moves every basis point
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
     span[:, :, 0] = points.reshape(dim, genus, k)
-    support = _h1_grid(form).index(span.reshape(dim, -1))
+    support = form.grid.index(span.reshape(dim, -1))
     return UnitaryRep(form, dim, mono, n, support,
                       f"schroedinger(genus={genus}, |A|={disc.order})", chi)
 
@@ -304,31 +300,29 @@ def _extend_subgroup(grid: _MixedRadix, subgroup: frozenset, x: int) -> frozense
     return frozenset(out)
 
 
-def _closure(grid: _MixedRadix, generators) -> np.ndarray:
-    """Sorted grid positions of the subgroup the generator coords span."""
-    sub = frozenset({0})
+def _closure(form: IntersectionForm, generators) -> np.ndarray:
+    """Sorted grid positions of the subgroup the generators span."""
+    grid, sub = form.grid, frozenset({0})
     generators = [g.X if isinstance(g, HeisenbergElement) else g for g in generators]
-    for g in _positions(grid, generators).tolist():
+    for g in grid.index(form.rows(generators)).tolist():
         sub = _extend_subgroup(grid, sub, g)
     return np.array(sorted(sub), dtype=np.int64)
 
 
 def subgroup_closure(form: IntersectionForm, generators) -> list[Coords]:
     """Subgroup of H1(S; A) generated by the given elements, sorted."""
-    grid = _h1_grid(form)
-    return grid.coords(grid.rows(_closure(grid, generators)))
+    return form.grid.coords(form.grid.rows(_closure(form, generators)))
 
 
 def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
     """S vanishes on every pair of the elements: one integer product."""
-    n, p = form.disc.exponent, form.pairing_int
-    b = np.array(subgroup, dtype=np.int64).reshape(len(subgroup), len(p))
-    return not np.any(b @ p % n @ b.T % n)
+    n, b = form.disc.exponent, form.rows(subgroup)
+    return not np.any(b @ form.pairing_int % n @ b.T % n)
 
 
 def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     """All subgroups of H1(S; A), each as a sorted element list."""
-    grid = _h1_grid(form, SUBGROUP_LIMIT)
+    grid = _walked(form, SUBGROUP_LIMIT)
     seen, frontier = {frozenset({0})}, [frozenset({0})]
     while frontier:
         nxt = []
@@ -352,41 +346,33 @@ def isotropic_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     return [sub for sub in enumerate_subgroups(form) if is_isotropic(form, sub)]
 
 
-def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
-                        assigned: dict[Coords, Fraction] | None = None,
-                        chi: int = 1) -> dict[Coords, Fraction]:
-    """A splitting chi: B -> Q/Z with
-    chi(b + b') = chi(b) + chi(b') + c(b, b') mod 1.
-
-    Built by extending one cyclic step at a time; the wrap-around phase of
-    each new generator fixes its value up to a k-th root, resolved
-    deterministically (or taken from `assigned` and checked).  Every
-    assigned value is checked, against the wrap phase where it is a new
-    generator's and against the forced value elsewhere; chi(0) = 0.
-    """
-    grid, n = _h1_grid(form), form.disc.exponent
-    positions = _positions(grid, subgroup).tolist()
-    given = dict(zip(positions, subgroup))
-    where = {x: p for p, x in given.items()}
-    values = {}
-    for x, v in (assigned or {}).items():
-        if x not in where:
+def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
+               chi: int = 1) -> tuple[np.ndarray, int]:
+    """A splitting chi of the subgroup B at the sorted grid positions
+    `members`, in integers: phases and the least modulus M (a multiple of
+    N) with chi(b) = phase / M.  Built one cyclic step at a time: the wrap
+    phase of each new generator fixes its value up to a k-th root,
+    resolved deterministically or taken from `assigned` (elements to
+    values mod 1).  Every assigned value is checked, against the wrap
+    phase or against the value already forced; chi(0) = 0."""
+    grid, n, u = form.grid, form.disc.exponent, len(members)
+    inside, values = set(members.tolist()), {}
+    for x, p in zip(assigned, grid.index(form.rows(list(assigned))).tolist()):
+        if p not in inside:
             raise NotASplitting(f"assigned element {x} is not in the subgroup")
-        values[where[x]] = Fraction(v) % 1
+        values[p] = Fraction(assigned[x]) % 1
     if values.get(0, 0) != 0:
         raise NotASplitting(f"value {values[0]} for the identity is not 0")
-    pool = [p for p in positions if p != 0]
-    if values:
-        pool.sort(key=lambda p: (p not in values, p))
-    # integer phases mod M = N |B|: each cyclic step divides a wrap phase
-    # by its order k, and the orders multiply to |B|
-    big_m, u, chi, table = n * len(given), len(given), chi % n, {0: 0}
+    pool = sorted((p for p in members.tolist() if p), key=lambda p: p not in values)
+    # integer phases mod N |B|: each cyclic step divides a wrap phase by
+    # its order k, and the orders multiply to |B|
+    big_m, chi, table = n * u, chi % n, {0: 0}
     for p in pool:
         if p in table:
             if p in values and Fraction(table[p], big_m) != values[p]:
                 raise NotASplitting(
-                    f"value {values[p]} for {given[p]} contradicts the values "
-                    f"already forced by earlier generators")
+                    f"value {values[p]} for {grid.coords(grid.rows([p]))[0]} contradicts "
+                    f"the values already forced by earlier generators")
             continue
         x = grid.rows(p)
         cx = x @ form.cocycle_int % n  # N c(x, .)
@@ -400,8 +386,8 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
         if p in values:
             if (k * values[p] - Fraction(need, big_m)) % 1:
                 raise NotASplitting(
-                    f"value {values[p]} for {given[p]} is inconsistent with its "
-                    f"order-{k} wrap phase")
+                    f"value {values[p]} for {grid.coords(grid.rows([p]))[0]} is inconsistent "
+                    f"with its order-{k} wrap phase")
             value = int(values[p] * big_m)
         else:
             value = need // k
@@ -412,9 +398,24 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
             power = (m * value + chi * cxx * (m * (m - 1) // 2) % n * u) % big_m
             phases = (power + chi_h + m * cxh % n * chi % n * u) % big_m
             table.update(zip(grid.index(m * x + h).tolist(), phases.tolist()))
-    if set(table) != set(given):
+    if set(table) != inside:
         raise NotASplitting("generators do not span the subgroup")
-    return {x: Fraction(table[p], big_m) for p, x in given.items()}
+    # 2-torsion gives values finer than 1/N; the least modulus is
+    # lcm(N, the denominators) = N |B| / gcd(|B|, phases)
+    phases = np.array([table[p] for p in members.tolist()], dtype=np.int64)
+    g = math.gcd(u, *phases.tolist())
+    return phases // g, big_m // g
+
+
+def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
+                        assigned: dict[Coords, Fraction] | None = None,
+                        chi: int = 1) -> dict[Coords, Fraction]:
+    """A splitting chi: B -> Q/Z with
+    chi(b + b') = chi(b) + chi(b') + c(b, b') mod 1, keyed by the given
+    elements: the exact view of `_splitting`, which checks `assigned`."""
+    members, at = np.unique(form.grid.index(form.rows(subgroup)), return_inverse=True)
+    phases, modulus = _splitting(form, members, assigned or {}, chi)
+    return {x: Fraction(int(phases[i]), modulus) for x, i in zip(subgroup, at.tolist())}
 
 
 def induce_from_isotropic(form: IntersectionForm, generators,
@@ -424,25 +425,20 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     Functions on the coset space B\\H1 carry the action
     (rho(Y, p) f)(t) = e^(2 pi i (p + c(r_t, Y) - chi(b) - c(b, r_t')))
     f(t') where r_t + Y = b + r_t'.  Dimension |H1| / |B|.  A splitting
-    that covers B is restricted to B; either way `canonical_splitting`
-    checks every given value.
+    that covers B is restricted to B; either way `_splitting` checks
+    every given value.
     """
-    disc = form.disc
-    gens = [g.X if isinstance(g, HeisenbergElement) else tuple(g) for g in generators]
+    gens = [g.X if isinstance(g, HeisenbergElement) else g for g in generators]
     # the pairing is bilinear, so generator pairs decide isotropy
     if not is_isotropic(form, gens):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
-    grid = _h1_grid(form, H1_LIMIT)
-    members = _closure(grid, gens)
-    subgroup = grid.coords(grid.rows(members))
-    if splitting is not None and set(splitting) >= set(subgroup):
-        splitting = {x: splitting[x] for x in subgroup}
-    table = canonical_splitting(form, subgroup, assigned=splitting)
-    # 2-torsion gives splitting values finer than 1/N
-    n = disc.exponent
-    big_m = math.lcm(n, *(table[b].denominator for b in subgroup))
-    chi_m = np.array([table[b].numerator * (big_m // table[b].denominator)
-                      for b in subgroup], dtype=np.int64)
+    grid, n = _walked(form, H1_LIMIT), form.disc.exponent
+    members = _closure(form, gens)
+    if splitting:
+        at = dict(zip(grid.index(form.rows(list(splitting))).tolist(), splitting))
+        if set(members.tolist()) <= set(at):
+            splitting = {at[p]: splitting[at[p]] for p in members.tolist()}
+    chi_m, big_m = _splitting(form, members, splitting or {})
 
     # one pass over the grid labels the cosets; each representative is the
     # least element of its coset
@@ -467,7 +463,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
         return t2, (c * (big_m // n) - chi_b) % big_m
 
     return UnitaryRep(form, len(reps), mono, big_m, members,
-                      f"induced(|B|={len(subgroup)}, dim={len(reps)})")
+                      f"induced(|B|={len(members)}, dim={len(reps)})")
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +489,9 @@ def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
     sums = sum(count * np.correlate(np.concatenate([h1[i], h1[i]]), h2[j], "valid")[:m]
                for (i, j), count in zip(pairs.tolist(), counts.tolist()))
     value = PhaseSum(dict(enumerate(sums.tolist())), m).integer_value()
-    if value is None or value % rep1._grid.size:
+    if value is None or value % rep1.form.grid.size:
         raise ArithmeticError("character pairing is not a multiple of |H1|")
-    return value // rep1._grid.size
+    return value // rep1.form.grid.size
 
 
 def commutant_dimension(rep: UnitaryRep) -> int:
@@ -505,8 +501,7 @@ def commutant_dimension(rep: UnitaryRep) -> int:
 
 def verify_irreducible(rep: UnitaryRep) -> bool:
     """Schur: the commutant has dimension 1."""
-    if rep._grid.size > IRREDUCIBLE_LIMIT:
-        raise GroupTooLarge(f"group has {rep._grid.size} elements")
+    _walked(rep.form, IRREDUCIBLE_LIMIT)
     return commutant_dimension(rep) == 1
 
 

@@ -49,10 +49,13 @@ def _read(x, table, y, n: int) -> Fraction:
 
 
 def _as_int_matrix(gram) -> IntMatrix:
-    rows = []
-    for row in gram:
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows)
+    """The entries as ints; one that is not an integer is refused, not truncated."""
+    rows = tuple(tuple(row) for row in gram)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if isinstance(x, (bool, str)) or x % 1:  # x % 1 is NaN for inf and NaN
+                raise ValueError(f"entry ({i},{j}) is {x!r}, not an integer")
+    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -444,5 +447,6 @@ EXTRA_GRAMS: dict[str, IntMatrix] = {
     "z6": ((6,),),
     "z8": ((8,),),
     "z2z2": ((2, 0), (0, 2)),
+    "z2z4": ((2, 0), (0, 4)),
     "z2z8": ((2, 0), (0, 8)),
 }

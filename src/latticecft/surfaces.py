@@ -8,7 +8,9 @@ a1, b1, ..., ag, bg followed by boundary-parallel classes for all but
 the last boundary circle.  The intersection pairing on H1(S; A) is the
 geometric intersection form tensored with the discriminant bilinear
 form, valued in rationals mod 1, read from integer tables on elements
-flattened to rows of the mixed-radix indexer in `lattices`.
+flattened to rows of the mixed-radix indexer in `lattices`: each form
+holds that indexer of A^rank as `grid`, and `rows` turns elements into
+its reduced integer rows.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MissingLabel, OrientationMismatch, UnknownCircle
-from .lattices import DiscriminantGroup, GroupElement, _read
+from .lattices import DiscriminantGroup, GroupElement, _MixedRadix, _read
 
 OUT = "out"
 IN = "in"
@@ -177,69 +180,71 @@ def homology_basis(s: Surface) -> HomologyBasis:
 class IntersectionForm:
     """Antisymmetric pairing on H1(S; A), rationals mod 1.
 
-    Elements of H1(S; A) are tuples of A-coordinates (one per basis slot).
+    Elements are tuples of A-coordinates, one per basis slot; `rows`
+    flattens them to reduced rows of rank * k ints, which `grid` numbers.
     The kernel of the pairing is exactly the span of the boundary-parallel
     slots.  A fixed 'polarized' integer cocycle P with P - P^T equal to
-    the geometric intersection matrix backs the unitary representations.
-    `cocycle_int` = P (x) `bilinear_int` is N c on elements flattened to
-    rank * k ints: N c(x, y) = x cocycle_int y mod N, and `pairing_int`,
-    its antisymmetrization mod N, is N S the same way.
+    the geometric intersection matrix J backs the unitary representations.
+    `cocycle_int` = P (x) `bilinear_int` is N c on rows, N c(x, y) =
+    x cocycle_int y mod N, and `pairing_int`, its antisymmetrization mod
+    N, is N S the same way.
     """
 
     def __init__(self, surface: Surface, disc: DiscriminantGroup):
         self.surface = surface
         self.disc = disc
         self.basis = homology_basis(surface)
-        n = self.basis.rank
-        j = [[0] * n for _ in range(n)]
-        slots = self.basis.slots
-        for k in range(n):
-            sk = slots[k]
-            if sk.kind == "a":
-                for l in range(n):
-                    sl = slots[l]
-                    if (sl.component == sk.component and sl.kind == "b"
-                            and sl.index == sk.index):
-                        j[k][l] = 1
-                        j[l][k] = -1
-        self.J: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in j)
-        self.cocycle_int = np.kron(np.array(j, dtype=np.int64).reshape(n, n) == 1,
+        slots, n = self.basis.slots, self.basis.rank
+        sign = {("a", "b"): 1, ("b", "a"): -1}  # a_i . b_i = 1 in each component
+        self.J: tuple[tuple[int, ...], ...] = tuple(tuple(
+            sign.get((s.kind, t.kind), 0) if (s.component, s.index) == (t.component, t.index)
+            else 0 for t in slots) for s in slots)
+        self.cocycle_int = np.kron(np.array(self.J, dtype=np.int64).reshape(n, n) == 1,
                                    disc.bilinear_int)
         self.pairing_int = (self.cocycle_int - self.cocycle_int.T) % disc.exponent
-        self._radices = np.array(disc.invariant_factors * n, dtype=disc.bilinear_int.dtype)
 
     @property
     def rank(self) -> int:
         return self.basis.rank
 
+    @cached_property
+    def grid(self) -> _MixedRadix:
+        """A^rank on the mixed-radix indexer: positions in `enumerate_h1` order."""
+        return _MixedRadix(self.disc.invariant_factors, self.rank)
+
+    def rows(self, elements) -> np.ndarray:
+        """A stack of elements (coordinate tuples or integer rows) as reduced
+        rows in the tables' dtype; no `grid`, so also past its size limit."""
+        factors = np.array(self.disc.invariant_factors, dtype=self.disc.bilinear_int.dtype)
+        n, k = len(elements), len(factors)
+        stack = np.array(elements, dtype=factors.dtype).reshape(n, self.rank, k) % factors
+        return stack.reshape(n, self.rank * k)
+
     def zero(self) -> tuple[tuple[int, ...], ...]:
-        z = self.disc.zero.coords
-        return tuple(z for _ in range(self.rank))
+        return (self.disc.zero.coords,) * self.rank
 
     def pairing(self, x, y) -> Fraction:
         """S(x, y) = sum over slots of intersection number times bilinear,
         which is c(x, y) - c(y, x): one row product with `pairing_int`."""
-        return _read(self._row(x), self.pairing_int, self._row(y), self.disc.exponent)
+        rx, ry = self.rows([x, y])
+        return _read(rx, self.pairing_int, ry, self.disc.exponent)
 
     def cocycle(self, x, y) -> Fraction:
         """Bilinear cocycle c with c(x,y) - c(y,x) = S(x,y); the defining
         2-cocycle of the unitary realizations."""
-        return _read(self._row(x), self.cocycle_int, self._row(y), self.disc.exponent)
-
-    def _row(self, x) -> np.ndarray:
-        """x flattened to one row of rank * k ints, reduced."""
-        return np.array([c for a in x for c in a], dtype=self._radices.dtype) % self._radices
-
-    def _coords(self, row) -> tuple[tuple[int, ...], ...]:
-        k = len(self.disc.invariant_factors)
-        row = (row % self._radices).tolist()
-        return tuple(tuple(row[s * k:(s + 1) * k]) for s in range(self.rank))
+        rx, ry = self.rows([x, y])
+        return _read(rx, self.cocycle_int, ry, self.disc.exponent)
 
     def add(self, x, y):
-        return self._coords(self._row(x) + self._row(y))
+        return self._element(self.rows([x, y]).sum(axis=0))
 
     def neg(self, x):
-        return self._coords(-self._row(x))
+        return self._element(-self.rows([x])[0])
+
+    def _element(self, row) -> tuple[tuple[int, ...], ...]:
+        """A row of any integers as the reduced coordinate tuples of its slots."""
+        k = len(self.disc.invariant_factors)
+        return tuple(map(tuple, self.rows([row]).reshape(self.rank, k).tolist()))
 
     @staticmethod
     def closed_genus(disc: DiscriminantGroup, genus: int) -> "IntersectionForm":

@@ -240,13 +240,12 @@ def automorphy_factor(spec: ThetaSpec, tau: SiegelPoint, m, n, z) -> complex:
                    * np.exp(quarter + half - triv))
 
 
-def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003,
-                          sample_factor: int = 3, tol: float = 1e-12) -> int:
+def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003) -> int:
     """dim of the span of the type-(d1,...,dg) theta basis, certified by a
     numerical rank computation at random sample points.
 
     Basis: theta[D^{-1} c, 0] for c in prod Z/d_i; the rank of the value
-    matrix at >= 3 prod(d_i) points must equal prod(d_i)."""
+    matrix at 3 prod(d_i) points, each value to 1e-12, must equal prod(d_i)."""
     ptype = tuple(int(d) for d in ptype)
     if any(d < 1 for d in ptype):
         raise ValueError("polarization type entries must be >= 1")
@@ -263,14 +262,14 @@ def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003,
     chars = [tuple(Fraction(ci, di) for ci, di in zip(c, ptype))
              for c in itertools.product(*(range(d) for d in ptype))]
     rng = np.random.default_rng(seed)
-    n_samples = sample_factor * dim
+    n_samples = 3 * dim
     points = rng.standard_normal((n_samples, g)) * 0.7 \
         + 0.3j * rng.standard_normal((n_samples, g))
     vals = np.empty((n_samples, dim), dtype=complex)
     for j, a in enumerate(chars):
         spec = ThetaSpec.make(a, (Fraction(0),) * g)
         for i in range(n_samples):
-            vals[i, j] = theta(spec, points[i], tau, tol=tol).value
+            vals[i, j] = theta(spec, points[i], tau, tol=1e-12).value
     norms = np.linalg.norm(vals, axis=0)
     if np.any(norms == 0):
         raise RankDeficient("a basis function vanished at every sample point")
@@ -285,12 +284,6 @@ def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003,
 
 # ---------------------------------------------------------------------------
 # heat equation
-
-
-def _default_func(spec: ThetaSpec, tol: float):
-    def f(z, tau_mat):
-        return theta(spec, z, SiegelPoint.make(tau_mat), tol=tol).value
-    return f
 
 
 def _tau_derivative(func, z, tau_mat, j, k, h):
@@ -317,12 +310,13 @@ def _z_second_derivative(func, z, tau_mat, j, k, h):
 
 def heat_equation_residual(spec: ThetaSpec, z, tau: SiegelPoint,
                            h: float = 1e-3, richardson: bool = True,
-                           func=None, tol: float = 1e-14) -> float:
+                           func=None) -> float:
     """Max over j <= k of |d theta/d tau_jk - coeff d^2 theta/dz_j dz_k|
     with coeff = 1/(2 pi i (1 + delta_jk)), by central differences
     (Richardson-extrapolated by default)."""
     if func is None:
-        func = _default_func(spec, tol)
+        def func(z, tau_mat):
+            return theta(spec, z, SiegelPoint.make(tau_mat), tol=1e-14).value
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
     tau_mat = np.asarray(tau.tau)

@@ -26,13 +26,14 @@ def invoke_process(argv):
                           capture_output=True, env=env)
 
 
-def assert_refused(argv):
-    """Work over the budget: exit 2 at once, one JSON line, no traceback."""
+def assert_refused(argv, error_kind):
+    """A refused input: exit 2 at once, one JSON line with the error kind,
+    no traceback."""
     proc = invoke_process(argv)
     assert proc.returncode == 2
     assert proc.stderr == b""
     (line,) = proc.stdout.splitlines()
-    assert json.loads(line)["error_kind"] == "GroupTooLarge"
+    assert json.loads(line)["error_kind"] == error_kind
 
 
 def refuse_constant(name):
@@ -64,9 +65,15 @@ class TestDisc:
         assert code == 2
         assert rep["error_kind"] == "OddDiagonal"
 
+    def test_non_integral_entry_is_refused(self):
+        # not truncated to [[2]] or to an odd diagonal, and no traceback
+        for gram in ("[[2.5]]", "[[3.9,1],[1,2]]", "[[Infinity]]"):
+            assert_refused(["disc", "--lattice", gram], "validation")
+
     def test_group_over_budget_is_refused(self):
         # |A| is about 1.6e11: the Gauss sum is refused before any work
-        assert_refused(["disc", "--lattice", "[[2000,1,0],[1,4000,3],[0,3,20000]]"])
+        assert_refused(["disc", "--lattice", "[[2000,1,0],[1,4000,3],[0,3,20000]]"],
+                       "GroupTooLarge")
 
 
 class TestBlocks:
@@ -115,7 +122,7 @@ class TestFactorize:
 
     def test_sum_over_budget_is_refused(self):
         # 512^3 label assignments, over DENSE_ENTRY_BUDGET
-        assert_refused(self.three_circle_argv("[[512]]"))
+        assert_refused(self.three_circle_argv("[[512]]"), "GroupTooLarge")
 
     def test_sum_at_budget_is_answered(self):
         # 256^3 = 2^24 label assignments, summed in bounded slabs
@@ -213,7 +220,7 @@ class TestTheta:
     def test_e8_period_matrix_is_refused(self):
         # tau = i G_E8 asks for a radius-41 box, 83^8 points
         assert_refused(["theta", "--tau", json.dumps({"im": E8_GRAM}),
-                        "--z", json.dumps([0] * 8)])
+                        "--z", json.dumps([0] * 8)], "GroupTooLarge")
 
 
 class TestFock:
@@ -234,7 +241,7 @@ class TestFock:
     def test_e8_character_box_is_refused(self):
         # the offsets box at E = 2 has 43^8 points
         assert_refused(["fock", "character", "--lattice", json.dumps(E8_GRAM),
-                        "--phi", "0", "--max-energy", "2"])
+                        "--phi", "0", "--max-energy", "2"], "GroupTooLarge")
 
     def test_negative_max_energy_is_validation_error(self):
         code, rep = invoke(["fock", "character", "--lattice", "[[2]]",
@@ -254,7 +261,7 @@ class TestHeisenberg:
 
     def test_genus_12_is_refused(self):
         # 24 generator matrices of size 4096^2, over the dense-entry budget
-        assert_refused(["heisenberg", "--lattice", "[[2]]", "--genus", "12"])
+        assert_refused(["heisenberg", "--lattice", "[[2]]", "--genus", "12"], "GroupTooLarge")
 
 
 class TestDeterminism:

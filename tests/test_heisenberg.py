@@ -386,6 +386,17 @@ class TestInduction:
                 assert tr.is_zero()
 
 
+def test_induced_modulus_is_least_common_denominator():
+    # the integer splitting's modulus is lcm(N, denominators of the exact
+    # splitting) on every isotropic subgroup criterion 4 induces from
+    for gram in SMALL_GRAMS.values():
+        form = IntersectionForm.closed_genus(disc_of(gram), 1)
+        for sub in isotropic_subgroups(form):
+            values = canonical_splitting(form, sub).values()
+            want = math.lcm(form.disc.exponent, *(v.denominator for v in values))
+            assert induce_from_isotropic(form, sub).modulus == want, (gram, sub)
+
+
 class TestStoneVonNeumann:
     @pytest.mark.parametrize("gram", [[[2]], [[2, 1], [1, 2]], [[4]],
                                       [[2, 0], [0, 2]]])
@@ -432,6 +443,23 @@ class TestInducedDecompositionGenusTwo:
                     assert tr.integer_value() == rep.dimension
                 else:
                     assert tr.is_zero()
+
+
+class TestWalkLimits:
+    """Each walk over all of H1(S; A) is refused past its limit, before
+    anything the size of H1 is built."""
+
+    def test_listing_and_induction(self):
+        form = IntersectionForm.closed_genus(disc_of([[1002]]), 1)  # 1002^2 > 10^6
+        with pytest.raises(GroupTooLarge):
+            enumerate_h1(form)
+        with pytest.raises(GroupTooLarge):
+            induce_from_isotropic(form, [((1,), (0,))])
+
+    def test_subgroups(self):
+        form = IntersectionForm.closed_genus(disc_of([[66]]), 1)  # 66^2 > 4096
+        with pytest.raises(GroupTooLarge):
+            enumerate_subgroups(form)
 
 
 class TestSubgroupEnumeration:

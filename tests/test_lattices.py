@@ -56,6 +56,18 @@ class TestValidation:
         with pytest.raises(NotPositiveDefinite):
             validate_even_lattice([[2, 3], [3, 2]])
 
+    @pytest.mark.parametrize("gram", [[[2.5]], [[3.9, 1], [1, 2]], [[2, 0.5], [0.5, 2]],
+                                      [[2, True], [True, 2]], [["2"]], [[math.inf]],
+                                      [[math.nan]], [[Fraction(5, 2)]]])
+    def test_non_integral_entry_refused(self, gram):
+        # truncation would read [[2.5]] as [[2]] and [[3.9, 1], [1, 2]] as
+        # odd; JSON true would read as 1, and int() overflows on infinity
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_even_lattice(gram)
+
+    def test_integral_floats_accepted(self):
+        assert validate_even_lattice([[2.0, 1.0], [1.0, 2.0]]).gram == ((2, 1), (1, 2))
+
     def test_e8_unimodular(self):
         lat = validate_even_lattice(E8_GRAM)
         assert lat.det == 1 == laplace_det([list(r) for r in E8_GRAM])

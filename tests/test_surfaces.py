@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from latticecft.errors import MissingLabel, OrientationMismatch, UnknownCircle
-from latticecft.lattices import discriminant_group, validate_even_lattice
+from latticecft.errors import GroupTooLarge, MissingLabel, OrientationMismatch, UnknownCircle
+from latticecft.heisenberg import enumerate_h1, subgroup_closure
+from latticecft.lattices import EXTRA_GRAMS, discriminant_group, validate_even_lattice
 from latticecft.surfaces import (
     IN,
     OUT,
@@ -17,7 +19,7 @@ from latticecft.surfaces import (
     homology_basis,
 )
 
-from oracles import cw_h1_rank
+from oracles import _h1_add, _h1_cocycle, _h1_elements, cw_h1_rank
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,75 @@ class TestIntersectionForm:
         kinds = [slot.kind for slot in basis.slots]
         assert kinds == ["a", "b", "a", "b", "boundary"]
         assert basis.slots[-1].circle_id == "c0"
+
+
+class TestFlattening:
+    """`rows` and `grid` on a group with two invariant factors and a surface
+    with boundary slots, against the tuple oracles."""
+
+    @pytest.fixture(scope="class")
+    def z2z8(self):
+        return discriminant_group(validate_even_lattice(EXTRA_GRAMS["z2z8"]))
+
+    @staticmethod
+    def elements(form, count, seed, spread=1):
+        """Random elements; spread > 1 draws unreduced coordinates."""
+        rng = random.Random(seed)
+        return [tuple(tuple(rng.randrange((1 - spread) * d, spread * d)
+                            for d in form.disc.invariant_factors)
+                      for _ in range(form.rank)) for _ in range(count)]
+
+    def check_against_oracles(self, form, xs):
+        disc = form.disc
+        for x, y in zip(xs, xs[1:]):
+            assert form.add(x, y) == _h1_add(disc, x, y)
+            assert form.neg(x) == _h1_add(disc, form.zero(), x, sign=-1)
+            c_xy, c_yx = _h1_cocycle(form, x, y), _h1_cocycle(form, y, x)
+            assert form.cocycle(x, y) == c_xy
+            assert form.pairing(x, y) == (c_xy - c_yx) % 1
+
+    def test_genus_two_with_two_circles(self, z2z8):
+        form = IntersectionForm(Surface.connected(2, [("c0", OUT), ("c1", IN)]), z2z8)
+        assert form.rank == 5 and z2z8.invariant_factors == (2, 8)
+        assert form.J == ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, 1, 0),
+                          (0, 0, -1, 0, 0), (0, 0, 0, 0, 0))
+        self.check_against_oracles(form, self.elements(form, 60, 1))
+        self.check_against_oracles(form, self.elements(form, 60, 2, spread=3))
+
+    def test_two_components(self, z2z8):
+        s = Surface.connected(1, [("c0", OUT), ("c1", IN)]).disjoint_union(Surface.closed(1))
+        form = IntersectionForm(s, z2z8)
+        assert form.J == ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+                          (0, 0, 0, 0, 1), (0, 0, 0, -1, 0))
+        self.check_against_oracles(form, self.elements(form, 40, 3))
+
+    def test_positions_follow_enumeration_order(self, z2z8):
+        # genus 2 with two circles has 16^5 = 2^20 elements, past the
+        # listing limit: random elements sort like their positions
+        form = IntersectionForm(Surface.connected(2, [("c0", OUT), ("c1", IN)]), z2z8)
+        with pytest.raises(GroupTooLarge):
+            enumerate_h1(form)
+        xs = self.elements(form, 300, 4)
+        positions = form.grid.index(form.rows(xs))
+        assert form.grid.coords(form.grid.rows(positions)) == xs
+        assert [xs[i] for i in np.argsort(positions, kind="stable")] == sorted(xs)
+        # genus 1 with two circles is listed whole: 16^3 elements
+        form = IntersectionForm(Surface.connected(1, [("c0", OUT), ("c1", IN)]), z2z8)
+        elements = enumerate_h1(form)
+        assert elements == _h1_elements(z2z8, form.rank)
+        assert form.grid.index(form.rows(elements)).tolist() == list(range(len(elements)))
+
+    def test_forms_past_the_grid_limit(self):
+        # (2^24 + 2)^6 elements: no grid, object tables, and the forms still read
+        disc = discriminant_group(validate_even_lattice([[2 ** 24 + 2]]))
+        form = IntersectionForm.closed_genus(disc, 3)
+        with pytest.raises(GroupTooLarge):
+            form.grid
+        with pytest.raises(GroupTooLarge):
+            subgroup_closure(form, [form.zero()])
+        xs = self.elements(form, 12, 5)
+        assert form.rows(xs).dtype == object
+        self.check_against_oracles(form, xs)
 
 
 class TestDelta:
