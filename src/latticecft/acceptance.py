@@ -51,7 +51,7 @@ class Tolerances:
     def overridden(value: float | None) -> "Tolerances":
         if value is None:
             return Tolerances()
-        if value < 0:
+        if not value >= 0:  # NaN too
             raise ValueError("tolerance override must be nonnegative")
         return Tolerances(modular=value, stone_von_neumann=value,
                           verlinde=value, theta_value=value,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,22 +20,38 @@ import numpy as np
 
 from . import acceptance, blocks, fock, heisenberg, lattices, theta
 from .errors import LatticeCftError
-from .lattices import discriminant_group, validate_even_lattice
+from .lattices import as_int, discriminant_group, validate_even_lattice
 from .surfaces import BlockLabel, Surface
 
 DEFAULT_SEED = acceptance.DEFAULT_SEED
 
-class _UsageError(Exception):
-    pass
+
+class _ParseError(Exception):
+    """An argv, or a JSON value, that is not the shape its option asks for."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _ParseError(message)
+
+
+def _encode(obj):
+    """Arrays as nested lists, numpy scalars as numbers, Fraction as a string
+    and complex as [re, im]; json itself writes tuples as lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The one writer of reports: sorted keys, no spaces, and `_encode`'s rules."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
 
 
 def _digest(inputs) -> str:
@@ -55,27 +72,33 @@ def _load_json_arg(value: str):
                           f"file: {exc}") from exc
 
 
-class _ParseError(Exception):
-    pass
-
-
 def _check_format(data):
     if isinstance(data, dict) and data.get("format", 1) != 1:
         raise _ParseError(f"unsupported format {data['format']!r}")
 
 
+def _json_list(data, shape: str, ok=lambda item: True) -> list:
+    """data, if it is a JSON list whose items pass `ok`."""
+    if not (isinstance(data, list) and all(map(ok, data))):
+        raise _ParseError(f"expected {shape}")
+    return data
+
+
 def _load_lattice(value: str):
     data = _load_json_arg(value)
     _check_format(data)
-    gram = data["gram"] if isinstance(data, dict) else data
-    lat = validate_even_lattice(gram)
-    return lat, discriminant_group(lat), [list(map(int, row)) for row in gram]
+    gram = data.get("gram") if isinstance(data, dict) else data
+    lat = validate_even_lattice(_json_list(gram, 'a list of Gram rows, or {"gram": rows}',
+                                           lambda row: isinstance(row, list)))
+    return lat, discriminant_group(lat)
 
 
-def _load_surface(value: str) -> Surface:
-    data = _load_json_arg(value)
+def _surface(data) -> Surface:
     _check_format(data)
-    return Surface.from_json(data)
+    try:
+        return Surface.from_json(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _ParseError(f"malformed surface: {exc!r}") from exc
 
 
 def _load_labels(value: str | None, disc) -> BlockLabel:
@@ -83,22 +106,26 @@ def _load_labels(value: str | None, disc) -> BlockLabel:
         return BlockLabel(())
     data = _load_json_arg(value)
     _check_format(data)
+    if not isinstance(data, dict):
+        raise _ParseError("labels are a JSON object {circle id: coordinates}")
     out = {}
     for cid, coords in data.items():
-        if cid == "format":
-            continue
-        if isinstance(coords, int):
-            coords = [coords]
-        out[str(cid)] = disc.element(tuple(int(c) for c in coords))
+        if cid != "format":  # a bare coordinate is the shorthand {"c0": 1}
+            coords = coords if isinstance(coords, list) else [coords]
+            out[cid] = disc.element([as_int(c, f"coordinate of label {cid!r}") for c in coords])
     return BlockLabel.from_dict(out)
 
 
+def _label_inputs(labels: BlockLabel) -> dict:
+    return {cid: e.coords for cid, e in labels.items()}
+
+
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
+    if isinstance(x, (str, int)):
         return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10 ** 6)
+    if isinstance(x, float) and math.isfinite(x):  # Fraction(inf) raises OverflowError
+        return Fraction(x).limit_denominator(10 ** 6)
+    raise ValueError(f"characteristic entry {x!r} is not a string or a finite number")
 
 
 def _parse_char(value: str, g: int):
@@ -117,75 +144,77 @@ def _parse_char(value: str, g: int):
 
 
 def _parse_complex_array(data):
-    if isinstance(data, (int, float)):
-        return np.array(float(data), dtype=complex)
-    if isinstance(data, dict):
-        re = np.asarray(data.get("re", 0.0), dtype=float)
-        im = np.asarray(data.get("im", 0.0), dtype=float)
-        return re + 1j * im
-    return np.asarray(data, dtype=complex)
+    try:
+        if isinstance(data, dict):
+            re = np.asarray(data.get("re", 0.0), dtype=float)
+            im = np.asarray(data.get("im", 0.0), dtype=float)
+            return re + 1j * im
+        return np.asarray(data, dtype=complex)
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past the floats
+        raise _ParseError(f"not a complex array: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (inputs, results, verified_or_None)
+# command handlers: each returns (inputs, results, verified_or_None), in the
+# library's own values; canonical_json writes them
 
 
 def _cmd_disc(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
+    lat, disc = _load_lattice(args.lattice)
     g = lattices.gauss_sum(disc)
     results = {
-        "invariant_factors": list(disc.invariant_factors),
+        "invariant_factors": disc.invariant_factors,
         "order": disc.order,
         "rank": lat.rank,
         "det": lat.det,
         "level_ell": lat.level_ell,
-        "bilinear_mod1": [[str(v) for v in row] for row in disc.bilinear_matrix],
-        "quadratic_mod2": [str(v) for v in disc.quadratic_diag],
+        "bilinear_mod1": disc.bilinear_matrix,
+        "quadratic_mod2": disc.quadratic_diag,
         "gauss_sum_re": g.real,
         "gauss_sum_im": g.imag,
         "signature_mod8": lattices.signature_mod8(disc),
     }
-    return {"gram": gram}, results, None
+    return {"gram": lat.gram}, results, None
 
 
 def _cmd_blocks(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
-    s = _load_surface(args.surface)
+    lat, disc = _load_lattice(args.lattice)
+    s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
     dim = blocks.block_dimension(s, labels, disc)
-    inputs = {"gram": gram, "surface": s.to_json(),
-              "labels": {cid: list(e.coords) for cid, e in labels.items()}}
+    inputs = {"gram": lat.gram, "surface": s.to_json(), "labels": _label_inputs(labels)}
     return inputs, {"dimension": dim}, None
 
 
 def _cmd_factorize(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
-    s = _load_surface(args.surface)
-    pieces_data = _load_json_arg(args.pieces)
-    pieces = tuple(Surface.from_json(p) for p in pieces_data)
-    matching = [(str(a), str(b)) for a, b in _load_json_arg(args.matching)]
+    lat, disc = _load_lattice(args.lattice)
+    s = _surface(_load_json_arg(args.surface))
+    pieces = tuple(map(_surface, _json_list(_load_json_arg(args.pieces), "a list of surfaces")))
+    matching = [(str(a), str(b)) for a, b in _json_list(
+        _load_json_arg(args.matching), "a list of [circle id, circle id] pairs",
+        lambda pair: isinstance(pair, list) and len(pair) == 2)]
     labels = _load_labels(args.labels, disc)
     rep = blocks.verify_factorization(s, pieces, matching, labels, disc,
                                       keep_terms=args.terms)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal}
     if rep.terms is not None:
-        results["terms"] = [{"assignment": [list(c) for c in assign],
-                             "value": value} for assign, value in rep.terms]
-    inputs = {"gram": gram, "surface": s.to_json(),
+        results["terms"] = [{"assignment": assign, "value": value}
+                            for assign, value in rep.terms]
+    inputs = {"gram": lat.gram, "surface": s.to_json(),
               "pieces": [p.to_json() for p in pieces], "matching": matching,
-              "labels": {cid: list(e.coords) for cid, e in labels.items()}}
+              "labels": _label_inputs(labels)}
     return inputs, results, rep.equal
 
 
 def _cmd_modular(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
+    lat, disc = _load_lattice(args.lattice)
     rep = blocks.genus1_mcg_rep(disc)
     results = {
-        "labels": [list(a.coords) for a in disc.elements()],
-        "S_re": rep.S.real.tolist(),
-        "S_im": rep.S.imag.tolist(),
-        "T_diag_re": np.diag(rep.T).real.tolist(),
-        "T_diag_im": np.diag(rep.T).imag.tolist(),
+        "labels": disc.coordinates(),
+        "S_re": rep.S.real,
+        "S_im": rep.S.imag,
+        "T_diag_re": np.diag(rep.T).real,
+        "T_diag_im": np.diag(rep.T).imag,
         "signature_mod8": rep.signature,
         "central_charge_exponent": str(lat.level_ell * lat.rank),
         "s4_deviation": rep.s4_deviation,
@@ -194,12 +223,12 @@ def _cmd_modular(args: argparse.Namespace):
         "unitarity_deviation": rep.unitarity_deviation,
         "ok": rep.ok,
     }
-    return {"gram": gram}, results, rep.ok
+    return {"gram": lat.gram}, results, rep.ok
 
 
 def _cmd_verlinde(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
-    s = _load_surface(args.surface)
+    lat, disc = _load_lattice(args.lattice)
+    s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
     rep = blocks.verlinde_check(s, labels, disc)
     results = {"verlinde_re": rep.verlinde_raw.real, "verlinde_im": rep.verlinde_raw.imag,
@@ -207,8 +236,7 @@ def _cmd_verlinde(args: argparse.Namespace):
     # JSON has no inf or NaN: past the float range these read null
     results = {k: v if np.isfinite(v) else None for k, v in results.items()}
     results.update(rounded=rep.rounded, block_dimension=rep.block_dim, equal=rep.equal)
-    inputs = {"gram": gram, "surface": s.to_json(),
-              "labels": {cid: list(e.coords) for cid, e in labels.items()}}
+    inputs = {"gram": lat.gram, "surface": s.to_json(), "labels": _label_inputs(labels)}
     return inputs, results, rep.equal
 
 
@@ -219,35 +247,31 @@ def _cmd_theta(args: argparse.Namespace):
     a, b = _parse_char(args.char, tau.g)
     spec = theta.ThetaSpec.make(a, b)
     val = theta.theta(spec, z, tau, tol=args.tol)
-    inputs = {"tau_re": tau.tau.real.tolist(), "tau_im": tau.tau.imag.tolist(),
-              "z_re": z.real.tolist(), "z_im": z.imag.tolist(),
-              "a": [str(x) for x in a], "b": [str(x) for x in b],
-              "tol": args.tol}
+    inputs = {"tau_re": tau.tau.real, "tau_im": tau.tau.imag,
+              "z_re": z.real, "z_im": z.imag, "a": a, "b": b, "tol": args.tol}
     results = {"value_re": val.value.real, "value_im": val.value.imag,
                "tail_bound": val.tail_bound, "R": val.radius}
     return inputs, results, None
 
 
 def _cmd_fock(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
+    lat, disc = _load_lattice(args.lattice)
     coords = [int(c) for c in args.phi.split(",")]
     k = len(disc.invariant_factors)
     if coords == [0] and k != 1:
         coords = [0] * k
     phi = disc.element(tuple(coords))
     ch = fock.sector_character(lat, disc, phi, args.max_energy)
-    inputs = {"gram": gram, "phi": list(phi.coords),
-              "max_energy": args.max_energy}
-    results = {"ground_energy": str(ch.ground_energy),
-               "coefficients": list(ch.coefficients),
-               "lift": [str(x) for x in ch.lift]}
+    inputs = {"gram": lat.gram, "phi": phi.coords, "max_energy": args.max_energy}
+    results = {"ground_energy": ch.ground_energy, "coefficients": ch.coefficients,
+               "lift": ch.lift}
     return inputs, results, None
 
 
 def _cmd_heisenberg(args: argparse.Namespace):
-    lat, disc, gram = _load_lattice(args.lattice)
+    lat, disc = _load_lattice(args.lattice)
     rep = heisenberg.schroedinger_irrep(disc, args.genus, chi=args.chi)
-    inputs = {"gram": gram, "genus": args.genus, "chi": args.chi}
+    inputs = {"gram": lat.gram, "genus": args.genus, "chi": args.chi}
     return inputs, rep.to_json(), None
 
 
@@ -256,35 +280,15 @@ def _cmd_accept(args: argparse.Namespace):
     results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance,
                                  defects=defects)
     rows = []
-    all_ok = True
     for r in results:
         # wall times go to stderr only: reports must be byte-reproducible
-        rows.append(_jsonable({"id": r.cid, "name": r.name,
-                               "passed": bool(r.passed),
-                               "details": r.details}))
-        all_ok = all_ok and bool(r.passed)
+        rows.append({"id": r.cid, "name": r.name, "passed": r.passed,
+                     "details": r.details})
         print(f"criterion {r.cid:02d} [{'PASS' if r.passed else 'FAIL'}] "
               f"{r.name} ({r.seconds:.2f}s)", file=sys.stderr)
+    all_ok = all(r.passed for r in results)
     inputs = {"tolerance": args.tolerance, "defects": sorted(defects)}
     return inputs, {"criteria": rows, "all_passed": all_ok}, all_ok
-
-
-def _jsonable(obj):
-    if type(obj) in (float, int, str):  # most entries of a large report
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
 
 
 HANDLERS = {
@@ -376,24 +380,15 @@ def run(argv) -> tuple[int, bytes, str | None]:
         command = args.command
         output = args.output
         inputs, results, verified = HANDLERS[command](args)
-        report = {"format": 1, "command": command,
-                  "inputs_digest": _digest(_jsonable(inputs)),
-                  "seed": args.seed, "results": _jsonable(results)}
+        report = {"format": 1, "command": command, "inputs_digest": _digest(inputs),
+                  "seed": args.seed, "results": results}
         code = 0 if verified in (None, True) else 1
-        return code, (canonical_json(report) + "\n").encode(), output
-    except (_UsageError, _ParseError, json.JSONDecodeError, KeyError,
-            TypeError) as exc:
-        report = {"format": 1, "command": command, "error_kind": "parse",
-                  "detail": str(exc)}
-        return 2, (canonical_json(report) + "\n").encode(), output
-    except LatticeCftError as exc:
-        report = {"format": 1, "command": command,
-                  "error_kind": type(exc).__name__, "detail": str(exc)}
-        return 2, (canonical_json(report) + "\n").encode(), output
-    except ValueError as exc:
-        report = {"format": 1, "command": command, "error_kind": "validation",
-                  "detail": str(exc)}
-        return 2, (canonical_json(report) + "\n").encode(), output
+    except (_ParseError, LatticeCftError, ValueError) as exc:
+        kind = ("parse" if isinstance(exc, (_ParseError, json.JSONDecodeError)) else
+                type(exc).__name__ if isinstance(exc, LatticeCftError) else "validation")
+        report = {"format": 1, "command": command, "error_kind": kind, "detail": str(exc)}
+        code = 2
+    return code, (canonical_json(report) + "\n").encode(), output
 
 
 def render_report(argv) -> bytes:

@@ -224,17 +224,15 @@ class UnitaryRep:
                           f"{self.description} (+) {other.description}", self.chi)
 
     def to_json(self) -> dict:
+        """Each generator's element and matrix as the library holds them
+        (coordinate tuples, a Fraction phase, array views) for a report writer."""
         elements = self.generator_elements()
         _within_budget(len(elements) * self.dimension ** 2, "the generator matrices")
         gens = []
         for g in elements:
             m = self.matrix(g)
-            gens.append({
-                "element": {"coords": [list(c) for c in g.X],
-                            "phase": str(g.phase)},
-                "matrix_re": m.real.tolist(),
-                "matrix_im": m.imag.tolist(),
-            })
+            gens.append({"element": {"coords": g.X, "phase": g.phase},
+                         "matrix_re": m.real, "matrix_im": m.imag})
         return {"dimension": self.dimension, "generators": gens}
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,14 +49,16 @@ def _read(x, table, y, n: int) -> Fraction:
     return Fraction(int(x @ table % n @ y % n), n)
 
 
+def as_int(x, what: str) -> int:
+    """x as an int; a bool, a string, 1.5, inf or NaN is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1:  # inf % 1 is NaN
+        raise ValueError(f"{what} is {x!r}, not an integer")
+    return int(x)
+
+
 def _as_int_matrix(gram) -> IntMatrix:
-    """The entries as ints; one that is not an integer is refused, not truncated."""
-    rows = tuple(tuple(row) for row in gram)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, (bool, str)) or x % 1:  # x % 1 is NaN for inf and NaN
-                raise ValueError(f"entry ({i},{j}) is {x!r}, not an integer")
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(as_int(x, f"entry ({i},{j})") for j, x in enumerate(row))
+                 for i, row in enumerate(gram))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ its reduced integer rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MissingLabel, OrientationMismatch, UnknownCircle
-from .lattices import DiscriminantGroup, GroupElement, _MixedRadix, _read
+from .lattices import DiscriminantGroup, GroupElement, _MixedRadix, _read, as_int
 
 OUT = "out"
 IN = "in"
@@ -131,13 +130,11 @@ class Surface:
 
     @staticmethod
     def from_json(data) -> "Surface":
-        if isinstance(data, str):
-            data = json.loads(data)
         comps = []
         for c in data["components"]:
             circles = tuple(BoundaryCircle(b["id"], b["orientation"])
                             for b in c.get("boundaries", []))
-            comps.append(Component(int(c["genus"]), circles))
+            comps.append(Component(as_int(c["genus"], "genus"), circles))
         return Surface(tuple(comps))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient, TruncationOverflow
-from .lattices import _within_budget
+from .lattices import DENSE_ENTRY_BUDGET, _within_budget
 
 MAX_RADIUS = 60
 
@@ -34,6 +34,8 @@ class SiegelPoint:
     @staticmethod
     def make(tau_like) -> "SiegelPoint":
         tau = np.atleast_2d(np.asarray(tau_like, dtype=complex))
+        if not np.isfinite(tau).all():
+            raise ValueError("tau has an entry that is not finite")
         g = tau.shape[0]
         if tau.shape != (g, g):
             raise NotPositiveDefinite("tau must be square")
@@ -138,10 +140,12 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
     reindexing of the sum; an explicit radius overrides the tail-driven
     choice (the reported bound still refers to that radius).
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     g = spec.g
     z = np.asarray(z, dtype=complex).reshape(g)
+    if not np.isfinite(z).all():
+        raise ValueError("z has an entry that is not finite")
     if tau.g != g:
         raise ValueError("tau size does not match the characteristic length")
     shift = [math.floor(ai + Fraction(1, 2)) for ai in spec.a]
@@ -149,6 +153,8 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
     b_vec = np.array([float(bi) for bi in spec.b])
     lam = tau.lam_min()
     y_norm = float(np.linalg.norm(z.imag))
+    if 4 * y_norm / lam > DENSE_ENTRY_BUDGET:  # the largest shell is far past MAX_RADIUS
+        raise TruncationOverflow(f"|Im z| = {y_norm:.3e} puts the largest terms past the cap")
     alpha = 0.5
     if radius is None:
         radius, bound = _choose_radius(lam, y_norm, g, alpha, tol)

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
-from latticecft import blocks
+import pytest
+
+from latticecft import blocks, cli
 from latticecft.blocks import s_matrix
 from latticecft.cli import render_report, run
 from latticecft.lattices import E8_GRAM
@@ -11,6 +13,7 @@ from latticecft.lattices import E8_GRAM
 A2 = "[[2,1],[1,2]]"
 SPHERE = '{"components":[{"genus":0,"boundaries":[]}]}'
 TORUS = '{"components":[{"genus":1,"boundaries":[]}]}'
+DISK = '{"components":[{"genus":0,"boundaries":[{"id":"c0","orientation":"out"}]}]}'
 
 
 def invoke(argv):
@@ -294,6 +297,56 @@ class TestGoldenReports:
         assert len(lines) == 36
         for argv_line, report in zip(lines[0::2], lines[1::2]):
             assert render_report(json.loads(argv_line)) == report, argv_line
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", [
+        ["blocks", "--surface", TORUS, "--labels", "[1,2]"],
+        ["blocks", "--surface", TORUS, "--labels", '"x"'],
+        ["blocks", "--surface", TORUS, "--labels", "5"],
+        ["blocks", "--surface", '{"components":[5]}'],
+    ])
+    def test_malformed_json_shape_is_parse_error(self, argv):
+        assert_refused(argv, "parse")
+
+    @pytest.mark.parametrize("labels", ['{"c0":[1.7]}', '{"c0":[true]}', '{"c0":true}'])
+    def test_non_integral_label_is_refused(self, labels):
+        # each was read as the label 1
+        assert_refused(["blocks", "--surface", DISK, "--lattice", "[[4]]",
+                        "--labels", labels], "validation")
+
+    def test_label_shorthand_is_kept(self):
+        code, rep = invoke(["blocks", "--surface", DISK, "--lattice", "[[4]]",
+                            "--labels", '{"c0": 0}'])
+        assert code == 0 and rep["results"]["dimension"] == 1
+
+    @pytest.mark.parametrize("genus", ["1.5", '"2"', "true"])
+    def test_non_integral_genus_is_refused(self, genus):
+        # read as 1, 2 and 1 before
+        assert_refused(["blocks", "--surface",
+                        f'{{"components":[{{"genus":{genus},"boundaries":[]}}]}}'],
+                       "validation")
+
+    def test_nan_tolerance_is_refused(self):
+        # every numerical criterion would fail, an exit 1 without a failed identity
+        assert_refused(["accept", "--tolerance", "nan"], "validation")
+
+    def test_nan_theta_tol_is_refused(self):
+        assert_refused(["theta", "--tau", '{"im": 1}', "--z", "0", "--tol", "nan"],
+                       "validation")
+
+    def test_infinite_characteristic_is_refused(self):
+        # Fraction(inf) raised OverflowError, a traceback
+        code, rep = invoke(["theta", "--tau", '{"im": 1}', "--z", "0", "--char", "Infinity,0"])
+        assert code == 2 and rep["error_kind"] == "validation"
+
+    def test_program_fault_is_not_a_parse_refusal(self, monkeypatch):
+        def broken(disc):
+            raise KeyError("a fault inside the library")
+
+        monkeypatch.setattr(cli.lattices, "gauss_sum", broken)
+        with pytest.raises(KeyError):
+            run(["disc", "--lattice", "[[2]]"])
 
 
 class TestExitCodes:

@@ -58,7 +58,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("gram", [[[2.5]], [[3.9, 1], [1, 2]], [[2, 0.5], [0.5, 2]],
                                       [[2, True], [True, 2]], [["2"]], [[math.inf]],
-                                      [[math.nan]], [[Fraction(5, 2)]]])
+                                      [[math.nan]], [[Fraction(5, 2)]], [[None]]])
     def test_non_integral_entry_refused(self, gram):
         # truncation would read [[2.5]] as [[2]] and [[3.9, 1], [1, 2]] as
         # odd; JSON true would read as 1, and int() overflows on infinity

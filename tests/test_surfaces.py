@@ -336,3 +336,11 @@ class TestJson:
     def test_round_trip(self):
         s = Surface.connected(2, [("c0", OUT), ("c1", IN)])
         assert Surface.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("genus", [1.5, "2", True, None])
+    def test_non_integral_genus_refused(self, genus):
+        with pytest.raises(ValueError, match="genus"):
+            Surface.from_json({"components": [{"genus": genus, "boundaries": []}]})
+
+    def test_integral_float_genus_accepted(self):
+        assert Surface.from_json({"components": [{"genus": 2.0}]}) == Surface.closed(2)

@@ -41,6 +41,12 @@ class TestSiegelPoint:
     def test_scalar_promotion(self):
         assert SiegelPoint.make([[2j]]).g == 1
 
+    @pytest.mark.parametrize("tau", [[[complex(0, np.inf)]], [[complex(np.nan, 1)]]])
+    def test_rejects_non_finite(self, tau):
+        # a NaN entry passes the symmetry and definiteness tests
+        with pytest.raises(ValueError, match="not finite"):
+            SiegelPoint.make(tau)
+
 
 class TestThetaValues:
     def test_theta3_at_i(self):
@@ -97,8 +103,19 @@ class TestThetaValues:
             theta(principal(1), [0.0], tau, tol=1e-12)
 
     def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            theta(principal(1), [0.0], TAU_I, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                theta(principal(1), [0.0], TAU_I, tol=tol)
+
+    def test_non_finite_z_is_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            theta(principal(1), [complex(np.nan, 0)], TAU_I)
+
+    @pytest.mark.parametrize("im_z", [1e9, 1e300])
+    def test_far_imaginary_z_overflows_before_any_table(self, im_z):
+        # the tail table would need 4 |Im z| / lambda_min shells (or overflow int())
+        with pytest.raises(TruncationOverflow, match="largest terms"):
+            theta(principal(1), [complex(0, im_z)], TAU_I)
 
 
 class TestHeisenbergAction:
