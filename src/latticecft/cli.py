@@ -146,9 +146,9 @@ def _parse_char(value: str, g: int):
 def _parse_complex_array(data):
     try:
         if isinstance(data, dict):
-            re = np.asarray(data.get("re", 0.0), dtype=float)
-            im = np.asarray(data.get("im", 0.0), dtype=float)
-            return re + 1j * im
+            parts = np.broadcast_arrays(np.asarray(data.get("re", 0.0), dtype=float),
+                                        np.asarray(data.get("im", 0.0), dtype=float))
+            return np.stack(parts, axis=-1).view(complex)[..., 0]  # no product: inf stays inf
         return np.asarray(data, dtype=complex)
     except (TypeError, OverflowError) as exc:  # OverflowError: an int past the floats
         raise _ParseError(f"not a complex array: {exc}") from exc

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import NonIntegralEnergy, NotContractive
 from .exact import det_int
 from .lattices import (
+    SLAB,
     DiscriminantGroup,
     EvenLattice,
     GroupElement,
@@ -485,7 +486,9 @@ def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601) -> float:
     """The same overlap from wavefunctions: |<psi_0, psi_T>| normalized,
     with psi_T(x) ~ exp(-x^T M x / 2), M = (1 - T)(1 + T)^{-1}, integrated
     on a tensor trapezoid grid.  Supports dimensions 1 and 2; T must be
-    symmetric (a bona fide squeezed vacuum)."""
+    symmetric (a bona fide squeezed vacuum).  The 2-D grid is evaluated
+    in row blocks of at most `SLAB` points, each integrated along its
+    rows before the row integrals are; dimension 1 is one block."""
     t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     dim = t.shape[0]
     if dim > 2:
@@ -498,22 +501,20 @@ def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601) -> float:
     lam = float(np.min(np.linalg.eigvalsh(m.real)))
     span = 10.0 / math.sqrt(min(lam, 1.0))  # ten widths of the widest direction
     xs = np.linspace(-span, span, points_per_dim)
-    if dim == 1:
-        psi0, psit = np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2)
-    else:
-        x0, x1 = xs[:, None], xs[None, :]
-        quad = (m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2)
-        psi0 = np.exp(-(x0 ** 2 + x1 ** 2) / 2)
-        psit = np.exp(-quad / 2)
-
-    def integrate(f):  # the last axis first
-        for _ in range(dim):
-            f = np.trapezoid(f, xs, axis=-1)
-        return f
-
-    inner = integrate(psi0 * psit)  # psi0 is real and positive
-    n0 = integrate(psi0 ** 2)
-    nt = integrate(np.abs(psit) ** 2)
+    if dim == 1:  # one block
+        blocks = [(np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2))]
+    else:  # rows of at most SLAB grid points
+        step, x1 = max(1, SLAB // points_per_dim), xs[None, :]
+        rows = (xs[s:s + step, None] for s in range(0, points_per_dim, step))
+        blocks = ((np.exp(-(x0 ** 2 + x1 ** 2) / 2),
+                   np.exp(-(m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2) / 2))
+                  for x0 in rows)
+    # psi0 * psi_T, psi0^2 and |psi_T|^2 along the last axis, one block at a time
+    # (psi0 is real and positive); in 2-D the row integrals are integrated next
+    parts = [[np.trapezoid(f, xs, axis=-1) for f in (psi0 * psit, psi0 ** 2, np.abs(psit) ** 2)]
+             for psi0, psit in blocks]
+    integrals = map(np.hstack, zip(*parts))  # each integrand's row integrals, or its value
+    inner, n0, nt = (np.trapezoid(r, xs) if dim == 2 else r[0] for r in integrals)
     return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
 
 

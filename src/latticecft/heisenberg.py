@@ -183,7 +183,8 @@ class UnitaryRep:
         """Distinct fixed-point phase histograms mod M, and the row of each position."""
         n, m = self.dimension, self.modulus
         ids, index = np.empty(len(positions), dtype=np.int64), {}
-        step = max(1, SLAB // max(n, m))  # at most SLAB points or histogram cells a pass
+        # at most SLAB integer cells a pass: rows * max(dimension, M) * row length
+        step = max(1, SLAB // (max(n, m) * max(1, len(self.form.grid.radices))))
         for start in range(0, len(positions), step):
             perm, alpha = self._monomial(self.form.grid.rows(positions[start:start + step]))
             rows, cols = np.nonzero(perm == np.arange(n))
@@ -416,6 +417,20 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
     return {x: Fraction(int(phases[i]), modulus) for x, i in zip(subgroup, at.tolist())}
 
 
+def _coset_labels(grid: _MixedRadix, members: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The coset of B (sorted positions `members`) of each grid position,
+    and each coset's least position, in order: one step per coset, each
+    finding the next unlabelled position by a scan of the flags."""
+    b_rows, free = grid.rows(members), bytearray(b"\1") * grid.size
+    label, unlabelled = np.full(grid.size, -1, dtype=np.int64), np.frombuffer(free, np.uint8)
+    reps, i = [], 0
+    while (i := free.find(1, i)) >= 0:
+        coset = grid.index(grid.rows(i) + b_rows)
+        label[coset], unlabelled[coset] = len(reps), 0
+        reps.append(i)
+    return label, reps
+
+
 def induce_from_isotropic(form: IntersectionForm, generators,
                           splitting: dict | None = None) -> UnitaryRep:
     """Representation induced from an isotropic subgroup B with splitting.
@@ -438,15 +453,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
             splitting = {at[p]: splitting[at[p]] for p in members.tolist()}
     chi_m, big_m = _splitting(form, members, splitting or {})
 
-    # one pass over the grid labels the cosets; each representative is the
-    # least element of its coset
-    b_rows = grid.rows(members)
-    label = np.full(grid.size, -1, dtype=np.int64)
-    reps = []
-    for i in range(grid.size):
-        if label[i] < 0:
-            label[grid.index(grid.rows(i) + b_rows)] = len(reps)
-            reps.append(i)
+    label, reps = _coset_labels(grid, members)
     r = grid.rows(reps)
     left, right = r @ form.cocycle_int % n, r @ form.cocycle_int.T % n
 

@@ -97,7 +97,8 @@ def _choose_radius(lam_min: float, y_norm: float, g: int, alpha: float,
                    tol: float) -> tuple[int, float]:
     horizon = MAX_RADIUS + 40 + int(4 * y_norm / lam_min)
     terms = _shell_terms(lam_min, y_norm, g, alpha, horizon)
-    suffix = np.cumsum(terms[::-1])[::-1]
+    with np.errstate(over="ignore"):  # an infinite tail is the refusal's own evidence
+        suffix = np.cumsum(terms[::-1])[::-1]
     for radius in range(1, MAX_RADIUS + 1):
         if suffix[radius] < tol:  # sum over shells rho > radius
             return radius, float(suffix[radius])
@@ -152,7 +153,8 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
     a_red = np.array([float(ai - ki) for ai, ki in zip(spec.a, shift)])
     b_vec = np.array([float(bi) for bi in spec.b])
     lam = tau.lam_min()
-    y_norm = float(np.linalg.norm(z.imag))
+    with np.errstate(over="ignore"):  # an infinite norm is refused just below
+        y_norm = float(np.linalg.norm(z.imag))
     if 4 * y_norm / lam > DENSE_ENTRY_BUDGET:  # the largest shell is far past MAX_RADIUS
         raise TruncationOverflow(f"|Im z| = {y_norm:.3e} puts the largest terms past the cap")
     alpha = 0.5

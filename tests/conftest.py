@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from latticecft.lattices import (
@@ -26,3 +28,16 @@ def small_lattices():
         lat = validate_even_lattice(gram)
         out[name] = (lat, discriminant_group(lat))
     return out
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): the most memory tracemalloc saw allocated while fn() ran, in bytes."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -5,11 +5,12 @@ Laplace expansion, discriminant groups by direct coset enumeration,
 surface homology from an honest cellular chain complex, theta values by
 raw summation, state counts by explicit enumeration, the A2 and D4 theta
 series in closed form by divisor sums, modular data one entry at a time
-from the lifts and the Gram matrix, Heisenberg commutant
-and Hom dimensions as float character sums, the factorization sum as a
-tuple loop over label assignments, the earlier `Fraction` versions
-of the fock energies and of the cyclotomic reduction of a phase sum, and
-the earlier meshgrid version of the Gaussian overlap quadrature.
+from the lifts and the Gram matrix, Heisenberg commutant and Hom
+dimensions as float character sums, coset labels by a walk of every
+element, the factorization sum as a tuple loop over label assignments,
+the earlier `Fraction` versions of the fock energies and of the
+cyclotomic reduction of a phase sum, and the earlier meshgrid version
+of the Gaussian overlap quadrature.
 """
 
 from __future__ import annotations
@@ -361,6 +362,24 @@ def induced_monomial(form, subgroup, table):
         return tuple(perm), tuple(phases)
 
     return mono
+
+
+def reference_coset_labels(factors, slots, subgroup):
+    """Each element of (prod Z/d)^slots, in lexicographic order, labelled by
+    its coset of `subgroup` (slot tuples); cosets are numbered in the order
+    of their least elements, whose positions are returned too."""
+    group = list(itertools.product(*(range(d) for d in factors)))
+    elements = list(itertools.product(group, repeat=slots))
+    position = {x: i for i, x in enumerate(elements)}
+    label, reps = [-1] * len(elements), []
+    for i, x in enumerate(elements):
+        if label[i] < 0:
+            for b in subgroup:
+                y = tuple(tuple((p + q) % d for p, q, d in zip(xs, bs, factors))
+                          for xs, bs in zip(x, b))
+                label[position[y]] = len(reps)
+            reps.append(i)
+    return label, reps
 
 
 def h1_elements_at(disc, slots, positions):

@@ -440,6 +440,11 @@ class TestBogoliubov:
         assert gaussian_overlap_quadrature(t, points_per_dim=points) == \
             reference_overlap_quadrature(t, points_per_dim=points)
 
+    def test_quadrature_in_row_blocks(self, traced_peak):
+        # one 801 x 801 complex grid alone is 10.3 MB; the blocks hold SLAB points
+        t = [[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]]
+        assert traced_peak(lambda: gaussian_overlap_quadrature(t, points_per_dim=801)) < 8e6
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)
         for _ in range(10):

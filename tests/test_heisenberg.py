@@ -25,6 +25,7 @@ from latticecft.acceptance import (
 from latticecft.heisenberg import (
     HeisenbergElement,
     UnitaryRep,
+    _coset_labels,
     canonical_splitting,
     center,
     commutant_dimension,
@@ -51,6 +52,7 @@ from oracles import (
     h1_elements_at,
     h1_subgroup,
     induced_monomial,
+    reference_coset_labels,
     reference_subgroups,
     schroedinger_monomial,
 )
@@ -443,6 +445,48 @@ class TestInducedDecompositionGenusTwo:
                     assert tr.integer_value() == rep.dimension
                 else:
                     assert tr.is_zero()
+
+
+class TestCosetLabels:
+    """Induction labels every element by its coset of B, numbering the
+    cosets in the order of their least elements, which it takes as the
+    representatives."""
+
+    def check(self, form, generators):
+        sub = h1_subgroup(form, generators)
+        want_label, want_reps = reference_coset_labels(
+            form.disc.invariant_factors, form.rank, sub)
+        label, reps = _coset_labels(form.grid, np.sort(form.grid.index(form.rows(sub))))
+        assert label.tolist() == want_label and reps == want_reps
+        assert induce_from_isotropic(form, generators).dimension == len(want_reps)
+
+    @pytest.mark.parametrize("lagrangian", ["a_span", "b_span", "diagonal"])
+    def test_z2z8_genus_two(self, lagrangian):
+        # the inductions of acceptance criterion 3 with the most cosets: 256 of 65,536 elements
+        disc = disc_of(SWEEP_GRAMS["z2z8"])
+        self.check(IntersectionForm.closed_genus(disc, 2),
+                   standard_lagrangians(disc, 2)[lagrangian])
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAMS))
+    def test_every_isotropic_subgroup(self, name):
+        # the subgroups of acceptance criterion 4
+        form = IntersectionForm.closed_genus(disc_of(SMALL_GRAMS[name]), 1)
+        for sub in isotropic_subgroups(form):
+            self.check(form, sub)
+
+
+class TestWorkingSet:
+    """A representation's character table is built in passes of at most
+    SLAB integer cells, whatever its dimension and row length."""
+
+    @pytest.mark.parametrize("name", ["schroedinger", "a_span", "b_span", "diagonal"])
+    def test_z2z8_genus_two_commutant(self, name, traced_peak):
+        # dimension 256 and rows of 8 ints: one pass of 256 positions traces 14 MB
+        disc = disc_of(SWEEP_GRAMS["z2z8"])
+        form = IntersectionForm.closed_genus(disc, 2)
+        rep = (schroedinger_irrep(disc, 2) if name == "schroedinger" else
+               induce_from_isotropic(form, standard_lagrangians(disc, 2)[name]))
+        assert traced_peak(lambda: commutant_dimension(rep)) < 6e6
 
 
 class TestWalkLimits:
