@@ -20,7 +20,7 @@ import numpy as np
 
 from . import blocks, fock, heisenberg, lattices, theta
 from .lattices import BUNDLED_GRAMS, EXTRA_GRAMS, discriminant_group, validate_even_lattice
-from .surfaces import IN, OUT, BlockLabel, Surface, IntersectionForm, glue
+from .surfaces import IN, OUT, BlockLabel, Surface, IntersectionForm
 
 DEFAULT_SEED = 1_000_003
 
@@ -95,8 +95,9 @@ def criterion_01_normalization(tol: Tolerances, seed: int,
 
 def _random_split(rng: random.Random, genus: int, boundary: int, disc,
                   max_circles: int = 3):
-    """A random (pieces, matching, labels) whose gluing is the connected
-    surface of the given genus and boundary count."""
+    """A random (target, pieces, matching, labels): target is the connected
+    surface of the given genus and boundary count, which gluing the pieces
+    along the matching must give."""
     options = []
     for k in range(1, max_circles + 1):
         if genus >= k:
@@ -132,7 +133,8 @@ def _random_split(rng: random.Random, genus: int, boundary: int, disc,
     labels = {cid: disc.element(tuple(rng.randrange(d)
                                       for d in disc.invariant_factors))
               for cid, _ in free}
-    return pieces, matching, BlockLabel.from_dict(labels)
+    return (Surface.connected(genus, free), pieces, matching,
+            BlockLabel.from_dict(labels))
 
 
 def criterion_02_factorization(tol: Tolerances, seed: int,
@@ -146,9 +148,8 @@ def criterion_02_factorization(tol: Tolerances, seed: int,
         count = 0
         for i in range(200):
             genus, boundary = targets[i % len(targets)]
-            pieces, matching, labels = _random_split(rng, genus, boundary, disc)
-            target = glue(pieces[0], pieces[1] if len(pieces) == 2 else None,
-                          matching)
+            target, pieces, matching, labels = _random_split(rng, genus, boundary,
+                                                             disc)
             rep = blocks.verify_factorization(target, pieces, matching,
                                               labels, disc)
             if not rep.equal:

@@ -7,9 +7,11 @@ enumeration.  Energies are integer numerators over a known denominator:
 with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
 p^T G p over 2 D^2.  `minimal_norm_lift` compares numerators over the D
 its box shares, and one coset walk over lift + Z^r yields each vector's
-energy offset as a numerator over 2 D^2: `sector_character` bins it, and
-the state walk behind `enumerate_sector_states` and `sector_state_counts`
-(criterion 8's explicit counts) adds its oscillator states on top.
+energy offset as a numerator over 2 D^2: `sector_character` bins it,
+`enumerate_sector_states` lists its oscillator states on top, and
+`sector_state_counts` (criterion 8's explicit counts) adds the binned
+oscillator basis at it.  Oscillator energies are computed once per
+truncation; the annulus sewing check keys energies by numerators too.
 The oscillator algebra is realized on the truncated basis with
 [a_m, a_n^+] = m delta, the normalization in which the structure
 constants stay integral.  Bogoliubov vacuum overlaps are the finite-mode
@@ -170,6 +172,13 @@ def oscillator_basis(tr: ModeTruncation) -> tuple[Occupation, ...]:
 
 def occupation_energy(occ: Occupation) -> int:
     return sum(n * k for (n, _), k in occ)
+
+
+@lru_cache(maxsize=None)
+def _basis_energies(tr: ModeTruncation) -> tuple[int, ...]:
+    """The energies of `oscillator_basis(tr)`, in basis order; built once
+    per truncation."""
+    return tuple(map(occupation_energy, oscillator_basis(tr)))
 
 
 def mode_operators(tr: ModeTruncation):
@@ -334,16 +343,15 @@ class FockState:
 
 def _sector_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
     """The sector's states up to ground + max_offset, per `_coset_walk` vector:
-    yields (mu, n, scale, occs, energies), n / scale its energy offset, occs its states."""
+    yields (mu, occs), occs the oscillator states that fit on top of it."""
     scale, vectors = _coset_walk(lat, lift, max_offset)
     tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
-    osc_states = oscillator_basis(tr)
     # the basis is sorted by energy, so a vector's states are a prefix
-    osc_energies = [occupation_energy(occ) for occ in osc_states]
+    osc_states, osc_energies = oscillator_basis(tr), _basis_energies(tr)
     for mu, n in vectors:
         room = bisect.bisect_right(osc_energies, (scale * max_offset - n) // scale)
-        yield mu, n, scale, osc_states[:room], osc_energies[:room]
+        yield mu, osc_states[:room]
 
 
 def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
@@ -351,21 +359,24 @@ def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
     """Explicit states of the sector with energy up to ground + max_offset."""
     lift = minimal_norm_lift(lat, disc, phi)
     return [FockState(sector_vector=v, occupation=occ)
-            for mu, _, _, occs, _ in _sector_walk(lat, lift, max_offset)
+            for mu, occs in _sector_walk(lat, lift, max_offset)
             for v in [tuple(l0 + m for l0, m in zip(lift, mu))] for occ in occs]
 
 
 def sector_state_counts(lat: EvenLattice, disc: DiscriminantGroup,
                         phi: GroupElement, max_offset: int) -> list[int]:
     """The states `enumerate_sector_states` lists, counted by energy offset:
-    (lift + mu, occ) is binned by its integer numerator q + 2 D^2 |occ| less
-    the ground's, over 2 D^2; no `Fraction` and no `FockState` is built."""
+    a `_coset_walk` vector at offset off carries osc[e] states at off + e,
+    osc the binned oscillator basis, whose energies are computed once per
+    truncation; no `Fraction`, no `FockState` and no per-state work."""
     counts = [0] * (max_offset + 1)
     lift = minimal_norm_lift(lat, disc, phi)
-    for _, n, scale, _, energies in _sector_walk(lat, lift, max_offset):
-        off = _offset(n, scale, max_offset)  # the states' offsets are off + |occ|
-        for e in energies:
-            counts[off + e] += 1
+    osc = _enumerated_partition_counts(max_offset, lat.rank)
+    scale, vectors = _coset_walk(lat, lift, max_offset)
+    for _, n in vectors:
+        off = _offset(n, scale, max_offset)
+        for e in range(max_offset - off + 1):
+            counts[off + e] += osc[e]
     return counts
 
 
@@ -386,10 +397,8 @@ def _enumerated_partition_counts(max_energy: int, colors: int) -> list[int]:
     # generating-function dp
     tr = ModeTruncation(rank=colors, max_mode=max(max_energy, 1),
                         max_energy=max_energy)
-    counts = [0] * (max_energy + 1)
-    for occ in oscillator_basis(tr):
-        counts[occupation_energy(occ)] += 1
-    return counts
+    hist = Counter(_basis_energies(tr))
+    return [hist[e] for e in range(max_energy + 1)]
 
 
 def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
@@ -401,24 +410,8 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
     vectors whose difference is integral, weighted by enumerated
     oscillator counts.  Exact integer tables, keyed by the energy pair.
     """
-    lhs: dict[tuple[Fraction, Fraction], int] = {}
-    for phi in disc.elements():
-        ch = sector_character(lat, disc, phi, max_energy)
-        g0 = ch.ground_energy
-        for m, cm in enumerate(ch.coefficients):
-            if not cm:
-                continue
-            for n, cn in enumerate(ch.coefficients):
-                if not cn:
-                    continue
-                e1, e2 = g0 + m, g0 + n
-                if e1 + e2 <= max_energy:
-                    key = (e1, e2)
-                    lhs[key] = lhs.get(key, 0) + cm * cn
-
-    # right side: the dual vectors are adj(G) k / det G, so their energies
-    # are integers over 2 det^2, and two lie in one coset exactly when
-    # their adj(G) k agree mod det
+    # the dual vectors are adj(G) k / det G, so every energy is an integer
+    # over 2 det^2; both sides key by that numerator
     r = lat.rank
     det = det_int(lat.gram)
     adj = [[(det * x).numerator for x in
@@ -426,6 +419,18 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
            for i in range(r)]
     scale = 2 * det * det
     limit = scale * max_energy
+    lhs: dict[tuple[int, int], int] = {}
+    for phi in disc.elements():
+        ch = sector_character(lat, disc, phi, max_energy)
+        g0 = ch.ground_energy.numerator * (scale // ch.ground_energy.denominator)
+        for m, cm in enumerate(ch.coefficients):
+            for n, cn in enumerate(ch.coefficients):
+                key = (g0 + m * scale, g0 + n * scale)
+                if cm and cn and key[0] + key[1] <= limit:
+                    lhs[key] = lhs.get(key, 0) + cm * cn
+
+    # right side: two dual vectors lie in one coset exactly when their
+    # adj(G) k agree mod det
     lam_min_dual = 1.0 / float(
         np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
     half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
@@ -442,7 +447,7 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
                 if n1 + n2 <= limit:
                     pairs[n1, n2] += c1 * c2
     osc = _enumerated_partition_counts(max_energy, r)
-    rhs_num: dict[tuple[int, int], int] = {}
+    rhs: dict[tuple[int, int], int] = {}
     for (n1, n2), mult in pairs.items():
         budget = (limit - n1 - n2) // scale
         for m in range(budget + 1):
@@ -452,13 +457,11 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
                 if not osc[n]:
                     continue
                 key = (n1 + m * scale, n2 + n * scale)
-                rhs_num[key] = rhs_num.get(key, 0) + mult * osc[m] * osc[n]
-    rhs = {(Fraction(n1, scale), Fraction(n2, scale)): v
-           for (n1, n2), v in rhs_num.items()}
+                rhs[key] = rhs.get(key, 0) + mult * osc[m] * osc[n]
 
     def freeze(table):
-        return tuple(sorted(((str(k[0]), str(k[1])), v)
-                            for k, v in table.items() if v))
+        return tuple(sorted(((str(Fraction(n1, scale)), str(Fraction(n2, scale))), v)
+                            for (n1, n2), v in table.items() if v))
 
     lhs_t, rhs_t = freeze(lhs), freeze(rhs)
     return SewingReport(max_energy=max_energy, equal=lhs_t == rhs_t,

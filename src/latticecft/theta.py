@@ -139,7 +139,8 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
 
     The characteristic a is first reduced into [-1/2, 1/2) by an exact
     reindexing of the sum; an explicit radius overrides the tail-driven
-    choice (the reported bound still refers to that radius).
+    choice (the reported bound still refers to that radius), and is
+    refused if its terms or tail would overflow.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
@@ -160,10 +161,13 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
     alpha = 0.5
     if radius is None:
         radius, bound = _choose_radius(lam, y_norm, g, alpha, tol)
-    else:
-        terms = _shell_terms(lam, y_norm, g, alpha,
-                             radius + 40 + int(4 * y_norm / lam))
-        bound = float(np.sum(terms[radius:]))
+    else:  # refused unless every shell bound, counted and summed, stays under e^700
+        horizon = radius + 40 + int(4 * y_norm / lam)
+        # the largest exponent in `_shell_terms`, over all real rho
+        peak = math.pi * (g * y_norm ** 2 / lam + 4 * alpha * y_norm * math.sqrt(g))
+        if peak + g * math.log(2 * horizon + 1) + math.log(horizon) > 700:
+            raise TruncationOverflow(f"terms up to e^{peak:.3e} overflow at radius {radius}")
+        bound = float(np.sum(_shell_terms(lam, y_norm, g, alpha, horizon)[radius:]))
     value = _box_sum(a_red, b_vec, z, tau.tau, radius)
     return ThetaValue(value=value, tail_bound=bound, radius=radius)
 

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines; the CLI
 equivalent is `latticecft accept`.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,10 @@ from latticecft import fock, heisenberg
 from latticecft.acceptance import (
     ALL_CRITERIA,
     DEFAULT_SEED,
+    SWEEP_GRAMS,
     Tolerances,
+    _discs,
+    _random_split,
     criterion_01_normalization,
     criterion_02_factorization,
     criterion_03_stone_von_neumann,
@@ -28,6 +32,7 @@ from latticecft.acceptance import (
 from latticecft.blocks import genus1_mcg_rep
 from latticecft.errors import NonIntegralEnergy
 from latticecft.lattices import BUNDLED_GRAMS, discriminant_group, validate_even_lattice
+from latticecft.surfaces import glue
 
 TOL = Tolerances()
 
@@ -44,6 +49,22 @@ def test_criterion_01_normalization():
 
 def test_criterion_02_factorization():
     _report(criterion_02_factorization(TOL, DEFAULT_SEED))
+
+
+def test_criterion_02_targets_are_the_gluings():
+    # c02 checks glue against a target built without gluing: replay its
+    # seeded splits and glue each one here
+    rng = random.Random(DEFAULT_SEED)
+    targets = [(g, b) for g in range(4) for b in range(5)]
+    splits = 0
+    for _, disc in _discs(SWEEP_GRAMS).values():
+        for i in range(200):
+            target, pieces, matching, _ = _random_split(rng, *targets[i % 20], disc)
+            glued = glue(pieces[0], pieces[1] if len(pieces) == 2 else None, matching)
+            assert glued.component_signature() == target.component_signature()
+            assert sorted(glued.circle_ids()) == sorted(target.circle_ids())
+            splits += 1
+    assert splits == 1000
 
 
 def test_criterion_03_stone_von_neumann():

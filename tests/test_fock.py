@@ -299,8 +299,9 @@ class TestAgainstFractionReference:
                 assert e == reference_state_energy(lat.gram, st.sector_vector,
                                                    st.occupation)
 
+    # criterion 8's cases, then the `characters` benchmark's z2z8 and a3
     @pytest.mark.parametrize("name,depth", [("a1", 12), ("z4", 12), ("a2", 8),
-                                            ("z2z2", 8)])
+                                            ("z2z2", 8), ("z2z8", 2), ("a3", 1)])
     def test_sewing_tables(self, name, depth):
         lat, disc = lattice_pair(REFERENCE_LATTICES[name][0])
         rep = annulus_sewing_check(lat, disc, depth)
@@ -365,6 +366,31 @@ class TestSectorStateCounts:
         monkeypatch.setattr(fock, "minimal_norm_lift", lambda *_: lift)
         with pytest.raises(NonIntegralEnergy, match="not in 0..2"):
             sector_state_counts(lat, disc, disc.zero, 2)
+
+
+class TestOscillatorWork:
+    def test_energies_once_per_truncation(self, monkeypatch):
+        # criterion 8's sectors at its depth: occupation_energy runs only to
+        # build each truncation's energies, once per basis state, then never
+        pairs = [lattice_pair(REFERENCE_LATTICES[name][0]) for name in CRITERION_8_LATTICES]
+        sectors = [(lat, disc, phi) for lat, disc in pairs for phi in disc.elements()]
+        assert len(sectors) == 35
+        bases = {oscillator_basis(ModeTruncation(lat.rank, 10, 10)) for lat, _ in pairs}
+        calls = []
+        monkeypatch.setattr(fock, "occupation_energy",
+                            lambda occ: calls.append(occ) or occupation_energy(occ))
+        fock._basis_energies.cache_clear()
+        counts = [sector_state_counts(*sector, 10) for sector in sectors]
+        assert len(calls) <= sum(map(len, bases))
+        calls.clear()
+        assert [sector_state_counts(*sector, 10) for sector in sectors] == counts
+        assert calls == []
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_enumerated_partition_counts_equal_recurrence(self, rank):
+        for energy in range(13):
+            assert fock._enumerated_partition_counts(energy, rank) == \
+                partition_counts(energy, rank), energy
 
 
 class TestAnnulusSewing:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import latticecft.theta as theta_module
 from latticecft.errors import NotPositiveDefinite, TruncationOverflow
 from latticecft.theta import (
     SiegelPoint,
@@ -116,6 +117,16 @@ class TestThetaValues:
         # the tail table would need 4 |Im z| / lambda_min shells (or overflow int())
         with pytest.raises(TruncationOverflow, match="largest terms"):
             theta(principal(1), [complex(0, im_z)], TAU_I)
+
+    def test_explicit_radius_overflow_is_refused(self, monkeypatch):
+        # terms near e^(pi 10^12): refused before the tail table (4e6 shells)
+        # or the box is built, and without a warning
+        def never(*_):
+            raise AssertionError("built a table")
+        monkeypatch.setattr(theta_module, "_shell_terms", never)
+        monkeypatch.setattr(theta_module, "_box_sum", never)
+        with pytest.raises(TruncationOverflow, match="overflow at radius 3"):
+            theta(ThetaSpec.make([0], [0]), [1e6j], SiegelPoint.make([[1j]]), radius=3)
 
 
 class TestHeisenbergAction:
