@@ -18,11 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import blocks, fock, heisenberg, lattices, theta
-from .lattices import BUNDLED_GRAMS, EXTRA_GRAMS, discriminant_group, validate_even_lattice
+from . import blocks, cli, fock, heisenberg, lattices, theta
+from .lattices import (BUNDLED_GRAMS, DEFAULT_SEED, EXTRA_GRAMS, discriminant_group,
+                       validate_even_lattice)
 from .surfaces import IN, OUT, BlockLabel, Surface, IntersectionForm
-
-DEFAULT_SEED = 1_000_003
 
 
 def _named(*names):
@@ -441,7 +440,6 @@ def criterion_09_bogoliubov(tol: Tolerances, seed: int,
 
 def criterion_10_determinism(tol: Tolerances, seed: int,
                              defects=frozenset()) -> CriterionResult:
-    from . import cli  # local import: cli imports this module
     commands = [
         ["disc", "--lattice", "[[2,1],[1,2]]"],
         ["verlinde", "--lattice", "[[2]]",

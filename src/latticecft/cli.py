@@ -5,6 +5,10 @@ Every subcommand emits one canonical JSON report on stdout (or to
 Exit codes: 0 success, 1 a verified identity failed, 2 input error (with
 a machine-readable {"error_kind", "detail"} report).  Reports are
 byte-identical across runs for identical inputs and seed.
+
+Only lattices and surfaces load with this module: each handler imports
+its own layer when it runs, so a subcommand's start-up pays for that
+layer alone, and `accept` loads all of them.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import acceptance, blocks, fock, heisenberg, lattices, theta
+from . import lattices
 from .errors import LatticeCftError
-from .lattices import as_int, discriminant_group, validate_even_lattice
+from .lattices import DEFAULT_SEED, as_int, discriminant_group, validate_even_lattice
 from .surfaces import BlockLabel, Surface
-
-DEFAULT_SEED = acceptance.DEFAULT_SEED
 
 
 class _ParseError(Exception):
@@ -178,6 +180,7 @@ def _cmd_disc(args: argparse.Namespace):
 
 
 def _cmd_blocks(args: argparse.Namespace):
+    from . import blocks
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
@@ -187,6 +190,7 @@ def _cmd_blocks(args: argparse.Namespace):
 
 
 def _cmd_factorize(args: argparse.Namespace):
+    from . import blocks
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     pieces = tuple(map(_surface, _json_list(_load_json_arg(args.pieces), "a list of surfaces")))
@@ -207,6 +211,7 @@ def _cmd_factorize(args: argparse.Namespace):
 
 
 def _cmd_modular(args: argparse.Namespace):
+    from . import blocks
     lat, disc = _load_lattice(args.lattice)
     rep = blocks.genus1_mcg_rep(disc)
     results = {
@@ -227,6 +232,7 @@ def _cmd_modular(args: argparse.Namespace):
 
 
 def _cmd_verlinde(args: argparse.Namespace):
+    from . import blocks
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
@@ -241,6 +247,7 @@ def _cmd_verlinde(args: argparse.Namespace):
 
 
 def _cmd_theta(args: argparse.Namespace):
+    from . import theta
     tau = theta.SiegelPoint.make(np.atleast_2d(_parse_complex_array(
         _load_json_arg(args.tau))))
     z = np.atleast_1d(_parse_complex_array(_load_json_arg(args.z)))
@@ -255,6 +262,7 @@ def _cmd_theta(args: argparse.Namespace):
 
 
 def _cmd_fock(args: argparse.Namespace):
+    from . import fock
     lat, disc = _load_lattice(args.lattice)
     coords = [int(c) for c in args.phi.split(",")]
     k = len(disc.invariant_factors)
@@ -269,6 +277,7 @@ def _cmd_fock(args: argparse.Namespace):
 
 
 def _cmd_heisenberg(args: argparse.Namespace):
+    from . import heisenberg
     lat, disc = _load_lattice(args.lattice)
     rep = heisenberg.schroedinger_irrep(disc, args.genus, chi=args.chi)
     inputs = {"gram": lat.gram, "genus": args.genus, "chi": args.chi}
@@ -276,6 +285,7 @@ def _cmd_heisenberg(args: argparse.Namespace):
 
 
 def _cmd_accept(args: argparse.Namespace):
+    from . import acceptance
     defects = frozenset(args.defect or [])
     results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance,
                                  defects=defects)
@@ -386,9 +396,17 @@ def run(argv) -> tuple[int, bytes, str | None]:
     except (_ParseError, LatticeCftError, ValueError) as exc:
         kind = ("parse" if isinstance(exc, (_ParseError, json.JSONDecodeError)) else
                 type(exc).__name__ if isinstance(exc, LatticeCftError) else "validation")
-        report = {"format": 1, "command": command, "error_kind": kind, "detail": str(exc)}
+        report = _refusal(command, kind, str(exc))
         code = 2
-    return code, (canonical_json(report) + "\n").encode(), output
+    return code, _line(report), output
+
+
+def _refusal(command: str, kind: str, detail: str) -> dict:
+    return {"format": 1, "command": command, "error_kind": kind, "detail": detail}
+
+
+def _line(report) -> bytes:
+    return (canonical_json(report) + "\n").encode()
 
 
 def render_report(argv) -> bytes:
@@ -397,10 +415,16 @@ def render_report(argv) -> bytes:
 
 
 def main() -> None:
-    code, payload, output = run(sys.argv[1:])
+    argv = sys.argv[1:]
+    code, payload, output = run(argv)
     if output:
-        with open(output, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:  # the report has nowhere to go: refuse on stdout
+            command = build_parser().parse_args(argv).command
+            code = 2
+            sys.stdout.buffer.write(_line(_refusal(command, "output", str(exc))))
     else:
         sys.stdout.buffer.write(payload)
     sys.exit(code)

@@ -422,6 +422,9 @@ def signature_mod8(disc: DiscriminantGroup, tol: float = 1e-9) -> int:
     return sigma
 
 
+# The seed of the acceptance suite and of CLI reports when none is given.
+DEFAULT_SEED = 1_000_003
+
 # Gram matrices bundled for the verification suite and the CLI.
 A1_GRAM: IntMatrix = ((2,),)
 A2_GRAM: IntMatrix = ((2, 1), (1, 2))

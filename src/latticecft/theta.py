@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient, TruncationOverflow
-from .lattices import DENSE_ENTRY_BUDGET, _within_budget
+from .lattices import DEFAULT_SEED, DENSE_ENTRY_BUDGET, _within_budget
 
 MAX_RADIUS = 60
 
@@ -140,7 +140,8 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
     The characteristic a is first reduced into [-1/2, 1/2) by an exact
     reindexing of the sum; an explicit radius overrides the tail-driven
     choice (the reported bound still refers to that radius), and is
-    refused if its terms or tail would overflow.
+    refused if its terms or tail would overflow.  A value past the float
+    range is refused with TruncationOverflow.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
@@ -168,7 +169,10 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
         if peak + g * math.log(2 * horizon + 1) + math.log(horizon) > 700:
             raise TruncationOverflow(f"terms up to e^{peak:.3e} overflow at radius {radius}")
         bound = float(np.sum(_shell_terms(lam, y_norm, g, alpha, horizon)[radius:]))
-    value = _box_sum(a_red, b_vec, z, tau.tau, radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        value = _box_sum(a_red, b_vec, z, tau.tau, radius)
+    if not np.isfinite(value):
+        raise TruncationOverflow(f"the value at |Im z| = {y_norm:.3e} is past the float range")
     return ThetaValue(value=value, tail_bound=bound, radius=radius)
 
 
@@ -252,7 +256,7 @@ def automorphy_factor(spec: ThetaSpec, tau: SiegelPoint, m, n, z) -> complex:
                    * np.exp(quarter + half - triv))
 
 
-def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = 1_000_003) -> int:
+def theta_space_dimension(ptype, tau: SiegelPoint, seed: int = DEFAULT_SEED) -> int:
     """dim of the span of the type-(d1,...,dg) theta basis, certified by a
     numerical rank computation at random sample points.
 

@@ -10,6 +10,8 @@ from latticecft.blocks import s_matrix
 from latticecft.cli import render_report, run
 from latticecft.lattices import E8_GRAM
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPORTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "reports.txt")
 A2 = "[[2,1],[1,2]]"
 SPHERE = '{"components":[{"genus":0,"boundaries":[]}]}'
 TORUS = '{"components":[{"genus":1,"boundaries":[]}]}'
@@ -23,10 +25,17 @@ def invoke(argv):
 
 def invoke_process(argv):
     """Run the CLI as `python -m latticecft` on this checkout's sources."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "latticecft", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def golden_reports():
+    """(argv, report bytes) pairs: in the file, the argv as a JSON line and
+    then its report."""
+    with open(REPORTS, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    return [(json.loads(argv), report)
+            for argv, report in zip(lines[0::2], lines[1::2], strict=True)]
 
 
 def assert_refused(argv, error_kind):
@@ -225,6 +234,17 @@ class TestTheta:
         assert_refused(["theta", "--tau", json.dumps({"im": E8_GRAM}),
                         "--z", json.dumps([0] * 8)], "GroupTooLarge")
 
+    def test_value_past_float_range_is_refused(self):
+        # wrote "value_re":Infinity, not JSON, after an overflow warning
+        code, rep = invoke(["theta", "--tau", '{"im": 1}', "--z", '{"im": 20}'])
+        assert code == 2 and rep["error_kind"] == "TruncationOverflow"
+
+    def test_large_finite_value_is_answered(self):
+        # about e^(196 pi): near the top of the float range, still an answer
+        code, rep = invoke(["theta", "--tau", '{"im": 1}', "--z", '{"im": 14}'])
+        assert code == 0
+        assert rep["results"]["value_re"] == pytest.approx(2.842948717153185e+267, rel=1e-12)
+
 
 class TestFock:
     def test_character_vacuum(self):
@@ -286,17 +306,83 @@ class TestDeterminism:
         data = json.loads(out.read_text())
         assert data["results"]["order"] == 2
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_is_refused(self, target, tmp_path, monkeypatch, capsysbinary):
+        # a missing directory, and a directory: both raised out of main
+        monkeypatch.setattr(sys, "argv", ["latticecft", "disc", "--lattice", "[[2]]",
+                                          "--output", str(tmp_path / target)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 2
+        out, err = capsysbinary.readouterr()
+        (line,) = out.splitlines()
+        assert json.loads(line)["error_kind"] == "output"
+        assert err == b""
+
 
 class TestGoldenReports:
     def test_reports_unchanged(self):
-        # pairs of lines: the argv as JSON, then its report bytes
-        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                            "reports.txt")
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        assert len(lines) == 36
-        for argv_line, report in zip(lines[0::2], lines[1::2]):
-            assert render_report(json.loads(argv_line)) == report, argv_line
+        reports = golden_reports()
+        assert len(reports) == 18
+        for argv, report in reports:
+            assert render_report(argv) == report, argv
+
+
+# `python -m latticecft ARGV` that, on its way out, writes the names of the
+# latticecft modules it loaded to PATH (its first argument)
+CHILD = """
+import runpy, sys
+path = sys.argv.pop(1)
+try:
+    runpy.run_module("latticecft", run_name="__main__", alter_sys=True)
+finally:
+    with open(path, "w") as fh:
+        fh.write(" ".join(m for m in sys.modules if m.startswith("latticecft.")))
+"""
+LOADED_BY_CLI = {"cli", "errors", "exact", "lattices", "surfaces"}
+LAYER = {"disc": set(), "blocks": {"blocks"}, "factorize": {"blocks"}, "modular": {"blocks"},
+         "verlinde": {"blocks"}, "theta": {"theta"}, "fock": {"fock"},
+         "heisenberg": {"heisenberg"}}
+# reports.txt pins no modular or theta report: their last bits depend on the
+# machine's BLAS and SIMD exp, so these two are held to the in-process bytes
+UNPINNED = {"modular": ["modular", "--lattice", A2],
+            "theta": ["theta", "--tau", '{"re": 0, "im": 1}', "--z", "0"]}
+
+
+class TestFreshProcess:
+    """Each subcommand but accept in a fresh process, which loads only the
+    layer it runs.  In-process tests run with every module loaded already."""
+
+    @pytest.fixture(scope="class")
+    def children(self, tmp_path_factory):
+        cases = {}
+        for argv, report in golden_reports():  # the first stored argv of each subcommand
+            cases.setdefault(argv[0], (argv, report))
+        cases.update((cmd, (argv, render_report(argv))) for cmd, argv in UNPINNED.items())
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out, started = tmp_path_factory.mktemp("modules"), {}
+        try:  # all at once: the children's start-ups overlap
+            for cmd in LAYER:
+                argv, report = cases[cmd]
+                path = out / cmd
+                proc = subprocess.Popen([sys.executable, "-c", CHILD, str(path), *argv],
+                                        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                started[cmd] = proc, path, report
+            yield started
+        finally:
+            for proc, _, _ in started.values():
+                proc.kill()
+                proc.communicate()
+
+    @pytest.mark.parametrize("cmd", sorted(LAYER))
+    def test_report_and_loaded_layers(self, children, cmd):
+        proc, path, report = children[cmd]
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0  # every stored report is an answer
+        assert stdout == report
+        assert stderr == b""
+        loaded = {m.removeprefix("latticecft.") for m in path.read_text().split()}
+        assert loaded == LOADED_BY_CLI | LAYER[cmd]
 
 
 class TestRefusals:

@@ -130,6 +130,7 @@ def surface_of_genus(genus: str) -> str:
 @example(["theta", "--tau", '{"im": 1}', "--z", "0", "--char", "Infinity,0"])
 @example(["theta", "--tau", '{"im": 1}', "--z", "1" + "0" * 400])
 @example(["theta", "--tau", '{"im": 1}', "--z", '{"im": 1e6}'])  # an infinite tail bound
+@example(["theta", "--tau", '{"im": 1}', "--z", '{"im": 20}'])  # a value past the floats
 @example(["disc", "--lattice", "[[Infinity]]"])
 @example(["theta", "--tau", json.dumps({"im": E8_GRAM}), "--z", json.dumps([0] * 8)])
 @example(["fock", "character", "--lattice", json.dumps(E8_GRAM), "--phi", "0",
