@@ -26,7 +26,6 @@ from .exact import PhaseSum
 from .lattices import (
     DiscriminantGroup,
     GroupElement,
-    _MixedRadix,
     _within_budget,
     signature_mod8,
 )
@@ -108,26 +107,28 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
     match_slot = {cid: idx for idx, pair in enumerate(matching) for cid in pair}
     k = len(disc.invariant_factors)
     comps = [comp for piece in pieces for comp in piece.components]
+    width = len(comps) * k
     # component totals = (const + assignment @ signs) mod the factors
-    const = np.zeros((len(comps), k), dtype=disc.bilinear_int.dtype)
-    signs = np.zeros((len(matching), k, len(comps), k), dtype=np.int64)
-    weight = 1
+    const, signs, weight = [0] * width, [[0] * width for _ in range(len(matching) * k)], 1
     for c, comp in enumerate(comps):
         for circle in comp.boundaries:
             sign = 1 if circle.orientation == OUT else -1
             if circle.id in match_slot:
-                signs[match_slot[circle.id], :, c, :] += sign * np.eye(k, dtype=np.int64)
+                for i in range(k):
+                    signs[match_slot[circle.id] * k + i][c * k + i] += sign
             else:
                 lam = labels.get(circle.id)
                 if lam is None:
                     raise MissingLabel(f"no label for circle {circle.id!r}")
-                const[c] += sign * np.array(lam.coords, dtype=const.dtype)
+                for i, x in enumerate(lam.coords):
+                    const[c * k + i] += sign * x
         weight *= disc.order ** comp.genus
-    const, signs = const.reshape(-1), signs.reshape(len(matching) * k, len(comps) * k)
-    radices = np.tile(np.array(disc.invariant_factors, dtype=const.dtype), len(comps))
+    const = np.array(const, dtype=disc.bilinear_int.dtype)
+    signs = np.array(signs, dtype=np.int64).reshape(len(matching) * k, width)
+    radices = np.array(disc.invariant_factors * len(comps), dtype=const.dtype)
 
     _within_budget(disc.order ** len(matching), "the factorization sum")
-    grid = _MixedRadix(disc.invariant_factors, len(matching))
+    grid = disc._power(len(matching))
     count, terms = 0, []
     for rows in grid.slabs():
         passes = ~np.any((rows @ signs + const) % radices, axis=1)
@@ -194,7 +195,7 @@ def _character_sum(disc: DiscriminantGroup, a: GroupElement) -> PhaseSum:
     n = disc.exponent
     steps = disc._row(a.coords) @ disc.bilinear_int % n  # N b(a, e_k)
     counts = Counter()
-    for rows in disc._radix.slabs():
+    for rows in disc._power().slabs():
         phases = (-(rows @ steps) % n).tolist()
         counts.update(phases)  # new keys go in at their first occurrence
     return PhaseSum(counts, n)

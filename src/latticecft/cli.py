@@ -17,8 +17,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -314,6 +316,7 @@ HANDLERS = {
 }
 
 
+@cache  # one argparse tree per process: parsing leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -389,6 +392,8 @@ def run(argv) -> tuple[int, bytes, str | None]:
         args = parser.parse_args(argv)
         command = args.command
         output = args.output
+        if output and (problem := _unwritable(output)):
+            return 2, _line(_refusal(command, "output", problem)), None
         inputs, results, verified = HANDLERS[command](args)
         report = {"format": 1, "command": command, "inputs_digest": _digest(inputs),
                   "seed": args.seed, "results": results}
@@ -399,6 +404,19 @@ def run(argv) -> tuple[int, bytes, str | None]:
         report = _refusal(command, kind, str(exc))
         code = 2
     return code, _line(report), output
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a report could not be written to path, found without opening it;
+    `main` still refuses a write that fails."""
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"directory {parent!r} does not exist"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return f"{path!r} is not writable"
+    return None
 
 
 def _refusal(command: str, kind: str, detail: str) -> dict:

@@ -18,8 +18,10 @@ sorted arrays of such positions with integer phases.  Each
 representation holds one integer monomial map from a stack of rows to
 stacked permutation and phase arrays mod M, and one table of its traces
 as phase histograms built in stacked passes, which the integer commutant
-and Hom dimensions read (Stone-von Neumann's character pairing); floats
-appear only in `matrix` and `explicit_intertwiner`.
+and Hom dimensions read (Stone-von Neumann's character pairing).  An
+explicit intertwiner is solved on orbits of integer phased permutations
+of its entries.  Floats appear only in `matrix` and in the M that
+`explicit_intertwiner` returns.
 """
 
 from __future__ import annotations
@@ -319,16 +321,24 @@ def is_isotropic(form: IntersectionForm, subgroup: list[Coords]) -> bool:
     return not np.any(b @ form.pairing_int % n @ b.T % n)
 
 
-def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
-    """All subgroups of H1(S; A), each as a sorted element list."""
+def _subgroup_search(form: IntersectionForm, isotropic: bool) -> list[list[Coords]]:
+    """All subgroups of H1(S; A), or only the isotropic ones, each as a sorted
+    element list, by one search from {0}.  Each subgroup H is extended by one
+    x per coset x + H, since <H, x> depends only on that coset.  For isotropic
+    subgroups x runs over H^perp only: S is alternating, so <H, x> is
+    isotropic exactly when H is and x is in H^perp."""
     grid = _walked(form, SUBGROUP_LIMIT)
+    everything, n = np.arange(grid.size), form.disc.exponent
+    if isotropic:
+        pairs = grid.rows(everything) @ form.pairing_int % n  # N S(x, .) for every x
     seen, frontier = {frozenset({0})}, [frozenset({0})]
     while frontier:
         nxt = []
         for sub in frontier:
-            # <H, x> depends only on the coset x + H: one x per coset
             rows, tried = grid.rows(list(sub)), set(sub)
-            for x in range(grid.size):
+            candidates = (np.flatnonzero(~np.any(pairs @ rows.T % n, axis=1)) if isotropic
+                          else everything)
+            for x in candidates.tolist():
                 if x not in tried:
                     tried.update(grid.index(grid.rows(x) + rows).tolist())
                     bigger = _extend_subgroup(grid, sub, x)
@@ -341,8 +351,14 @@ def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
             sorted((sorted(sub) for sub in seen), key=lambda s: (len(s), s))]
 
 
+def enumerate_subgroups(form: IntersectionForm) -> list[list[Coords]]:
+    """All subgroups of H1(S; A), each as a sorted element list."""
+    return _subgroup_search(form, isotropic=False)
+
+
 def isotropic_subgroups(form: IntersectionForm) -> list[list[Coords]]:
-    return [sub for sub in enumerate_subgroups(form) if is_isotropic(form, sub)]
+    """The subgroups on which S vanishes, in `enumerate_subgroups` order."""
+    return _subgroup_search(form, isotropic=True)
 
 
 def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
@@ -527,31 +543,55 @@ def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
     return _character_pairing(rep1, rep2)
 
 
+def _orbits(target: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of phased permutations, in integers: equation g says
+    M[target[g, e]] = e(phase[g, e] / m) M[e].  Returns each entry's root,
+    the least entry of its orbit, and a potential p with M[e] = e(p / m) M[root]
+    along some path of equations.  Across each equation both ends take the
+    lesser parent, and parents jump to their parents', until nothing moves."""
+    parent, pot = np.arange(target.shape[1]), np.zeros(target.shape[1], dtype=np.int64)
+    while True:
+        before = parent.copy()
+        for t, ph in zip(target, phase):
+            down = parent[t] < parent  # e takes t's parent, by M[e] = e(-ph) M[t]
+            parent, pot = (np.where(down, parent[t], parent),
+                           np.where(down, (pot[t] - ph) % m, pot))
+            up = parent < parent[t]  # t takes e's, by M[t] = e(ph) M[e]; no t repeats
+            parent[t[up]], pot[t[up]] = parent[up], (pot[up] + ph[up]) % m
+        pot, parent = (pot + pot[parent]) % m, parent[parent]
+        if np.array_equal(parent, before):
+            return parent, pot
+
+
 def explicit_intertwiner(rep1: UnitaryRep, rep2: UnitaryRep):
-    """Nullspace solve for M rho1(x) = rho2(x) M over the generators;
-    returns (nullity, M) with M unitary up to scale when nullity is 1."""
+    """Exact solve of M rho1(x) = rho2(x) M over the generators; returns
+    (nullity, M) with M unitary up to scale when nullity is 1.
+
+    Generator g sends entry M[i, k] to M[p2(i), p1(k)] with phase
+    e((a1(k) - a2(i)) / m), so a solution is a function on the orbits of
+    these phased permutations of the n^2 entries, fixed by its value at
+    each orbit's root: the nullity is the number of orbits whose integer
+    phases close up.  M is 1 at those roots."""
     _same_group(rep1, rep2)
     if rep1.dimension != rep2.dimension:
         return 0, None
-    n = rep1.dimension
-    eye = np.eye(n)
-    gens = rep1.generator_elements()
-    if not gens:
+    form, n = rep1.form, rep1.dimension
+    m = math.lcm(rep1.modulus, rep2.modulus)
+    gens = form.rows(_units(form, range(form.rank)))
+    if not len(gens):
         return n * n, np.eye(n, dtype=complex)  # trivial group
-    # fold each generator's equations into the square factor R of a QR
-    # decomposition; R has the singular values and right singular vectors
-    # of the whole system, which is never stacked
-    r = np.empty((0, n * n), dtype=complex)
-    for g in gens:
-        block = np.kron(rep1.matrix(g).T, eye) - np.kron(eye, rep2.matrix(g))
-        r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    _, sv, vh = np.linalg.svd(r)
-    tol = len(gens) * n * n * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
-    nullity = int(np.sum(sv <= max(tol, 1e-10)))
+    _within_budget(len(gens) * n * n, "the intertwiner equations")
+    (p1, a1), (p2, a2) = rep1._monomial(gens), rep2._monomial(gens)
+    target = (p2[:, :, None] * n + p1[:, None, :]).reshape(len(gens), n * n)
+    phase = (a1[:, None, :] * (m // rep1.modulus)
+             - a2[:, :, None] * (m // rep2.modulus)).reshape(len(gens), n * n) % m
+    root, pot = _orbits(target, phase, m)
+    closes = root == np.arange(n * n)
+    closes[root[np.nonzero((pot[target] - pot - phase) % m)[1]]] = False
+    nullity = int(np.count_nonzero(closes))
     if nullity == 0:
         return 0, None
-    m = vh[-1].conjugate().reshape((n, n), order="F")
-    return nullity, m
+    return nullity, np.where(closes[root], np.exp(2j * np.pi * pot / m), 0).reshape(n, n)
 
 
 def standard_lagrangians(disc: DiscriminantGroup, genus: int) -> dict[str, list[Coords]]:

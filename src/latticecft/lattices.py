@@ -294,6 +294,7 @@ class DiscriminantGroup:
         self.bilinear_matrix: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(Fraction(m, n) for m in row) for row in bil)
         self.quadratic_diag: tuple[Fraction, ...] = tuple(Fraction(m, n) for m in quad)
+        self._powers: dict[int, _MixedRadix] = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -319,17 +320,19 @@ class DiscriminantGroup:
     def neg(self, a: GroupElement) -> GroupElement:
         return GroupElement(self.reduce(tuple(-x for x in a.coords)))
 
-    @cached_property
-    def _radix(self) -> _MixedRadix:
-        return _MixedRadix(self.invariant_factors)
+    def _power(self, copies: int = 1) -> _MixedRadix:
+        """A^copies on the mixed-radix indexer, built once per copy count."""
+        if copies not in self._powers:
+            self._powers[copies] = _MixedRadix(self.invariant_factors, copies)
+        return self._powers[copies]
 
     def coordinates(self) -> np.ndarray:
         """order x k array of element coordinates in elements() order."""
-        return self._radix.rows(np.arange(self.order))
+        return self._power().rows(np.arange(self.order))
 
     def index(self, coords) -> np.ndarray:
         """elements() positions of coordinate rows (last axis), reduced mod d_i."""
-        return self._radix.index(coords)
+        return self._power().index(coords)
 
     def generators(self) -> tuple[GroupElement, ...]:
         k = len(self.invariant_factors)

@@ -9,8 +9,9 @@ from the lifts and the Gram matrix, Heisenberg commutant and Hom
 dimensions as float character sums, coset labels by a walk of every
 element, the factorization sum as a tuple loop over label assignments,
 the earlier `Fraction` versions of the fock energies and of the
-cyclotomic reduction of a phase sum, and the earlier meshgrid version
-of the Gaussian overlap quadrature.
+cyclotomic reduction of a phase sum, the earlier meshgrid version
+of the Gaussian overlap quadrature, and Heisenberg intertwiners by the
+earlier float nullspace solve over generator matrices.
 """
 
 from __future__ import annotations
@@ -622,3 +623,23 @@ def reference_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
     n0 = integrate(np.abs(psi0) ** 2)
     nt = integrate(np.abs(psit) ** 2)
     return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
+
+
+def reference_intertwiner(mats1, mats2):
+    """Nullity of M A_g = B_g M over paired generator matrices (A_g, B_g),
+    and a solution M, by a float solve: each generator's n^2 x n^2 block of
+    equations folds into the square factor R of a QR decomposition, whose
+    singular values and right singular vectors are those of the whole
+    system.  M is None at nullity 0."""
+    n = len(mats1[0])
+    eye = np.eye(n)
+    r = np.empty((0, n * n), dtype=complex)
+    for a, b in zip(mats1, mats2):
+        block = np.kron(a.T, eye) - np.kron(eye, b)
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    _, sv, vh = np.linalg.svd(r)
+    tol = len(mats1) * n * n * np.finfo(float).eps * (sv[0] if len(sv) else 1.0)
+    nullity = int(np.sum(sv <= max(tol, 1e-10)))
+    if nullity == 0:
+        return 0, None
+    return nullity, vh[-1].conjugate().reshape((n, n), order="F")

@@ -320,6 +320,47 @@ class TestDeterminism:
         assert err == b""
 
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_output_is_refused_before_computing(self, target, tmp_path,
+                                                           monkeypatch, capsysbinary):
+        # genus 9 would spend seconds on a report with nowhere to go
+        def never(args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setitem(cli.HANDLERS, "heisenberg", never)
+        monkeypatch.setattr(sys, "argv", ["latticecft", "heisenberg", "--lattice", "[[2]]",
+                                          "--genus", "9", "--output", str(tmp_path / target)])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 2
+        (line,) = capsysbinary.readouterr().out.splitlines()
+        assert json.loads(line)["error_kind"] == "output"
+
+    def test_output_is_not_touched_before_the_handler_succeeds(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"kept")
+
+        def failing(args):
+            assert out.read_bytes() == b"kept"
+            raise AssertionError("the handler failed")
+
+        monkeypatch.setitem(cli.HANDLERS, "disc", failing)
+        monkeypatch.setattr(sys, "argv", ["latticecft", "disc", "--lattice", "[[2]]",
+                                          "--output", str(out)])
+        with pytest.raises(AssertionError, match="handler failed"):
+            cli.main()
+        assert out.read_bytes() == b"kept"
+
+    def test_one_parser_serves_every_run(self):
+        # a refusal leaves nothing behind in the cached argparse tree
+        assert cli.build_parser() is cli.build_parser()
+        assert run(["disc", "--lattice", "[[2]]", "--bogus"])[0] == 2
+        assert run(["disc", "--lattice", "[[3]]"])[0] == 2
+        good = ["disc", "--lattice", A2, "--seed", "7"]
+        proc = invoke_process(good)
+        assert proc.returncode == 0 and run(good)[1] == proc.stdout
+
+
 class TestGoldenReports:
     def test_reports_unchanged(self):
         reports = golden_reports()

@@ -53,6 +53,7 @@ from oracles import (
     h1_subgroup,
     induced_monomial,
     reference_coset_labels,
+    reference_intertwiner,
     reference_subgroups,
     schroedinger_monomial,
 )
@@ -519,6 +520,15 @@ class TestSubgroupEnumeration:
         assert len(subs) == 4
         assert all(is_isotropic(form, s) for s in subs)
 
+    @pytest.mark.parametrize("name, genus", [(name, 1) for name in sorted(SMALL_GRAMS)]
+                             + [("a1", 2), ("a2", 2), ("z4", 2)])
+    def test_isotropic_search_is_the_filtered_list(self, name, genus):
+        # extending only inside H^perp reaches every isotropic subgroup and
+        # no other, in the same order (z4 at genus 2: 517 of its subgroups)
+        form = IntersectionForm.closed_genus(disc_of(SMALL_GRAMS[name]), genus)
+        assert isotropic_subgroups(form) == [
+            s for s in enumerate_subgroups(form) if is_isotropic(form, s)]
+
 
 class TestExport:
     def test_basis_over_budget_is_refused(self, z2):
@@ -632,6 +642,72 @@ class TestGroupMismatch:
             intertwiner_dimension(rep1, rep2)
         with pytest.raises(DimensionMismatch):
             explicit_intertwiner(rep1, rep2)
+
+
+def assert_reference_intertwiner(rep1, rep2) -> int:
+    """The exact solve has the float solve's nullity, and its M intertwines
+    every generator; returns the nullity."""
+    gens = rep1.generator_elements()
+    mats1, mats2 = [rep1.matrix(g) for g in gens], [rep2.matrix(g) for g in gens]
+    nullity, m = explicit_intertwiner(rep1, rep2)
+    # with no generators (|A| = 1) every M intertwines
+    assert nullity == (reference_intertwiner(mats1, mats2)[0] if gens else rep1.dimension ** 2)
+    if nullity:
+        for a, b in zip(mats1, mats2):
+            assert np.max(np.abs(m @ a - b @ m)) <= 1e-12
+    return nullity
+
+
+class TestExplicitIntertwiner:
+    """Intertwiners by orbits of phased permutations, against the float
+    nullspace solve over the generator matrices."""
+
+    def test_stone_von_neumann_pairs(self):
+        # acceptance criterion 3's pairs: every pair of dimension <= 9
+        pairs = 0
+        for gram in SWEEP_GRAMS.values():
+            disc = disc_of(gram)
+            for genus in (1, 2):
+                if disc.order ** genus > 9:
+                    continue
+                form = IntersectionForm.closed_genus(disc, genus)
+                reps = [schroedinger_irrep(disc, genus)] + [
+                    induce_from_isotropic(form, gens)
+                    for gens in standard_lagrangians(disc, genus).values()]
+                for rep1, rep2 in itertools.combinations(reps, 2):
+                    assert assert_reference_intertwiner(rep1, rep2) == 1
+                    pairs += 1
+        assert pairs == 42
+
+    @pytest.mark.parametrize("gram", [[[4]], [[6]], [[8]], A2, [[2, 0], [0, 4]]])
+    def test_central_characters(self, gram):
+        disc = disc_of(gram)
+        n = disc.exponent
+        reps = {c: schroedinger_irrep(disc, 1, chi=c)
+                for c in range(1, 2 * n) if math.gcd(c, n) == 1}
+        for c1, c2 in itertools.product(reps, repeat=2):
+            want = int((c1 - c2) % n == 0)
+            assert assert_reference_intertwiner(reps[c1], reps[c2]) == want, (c1, c2)
+
+    def test_dimension_64(self, traced_peak):
+        # past `reference_intertwiner`: one of its blocks is 4096^2 complex entries
+        disc = disc_of([[8]])
+        form = IntersectionForm.closed_genus(disc, 2)
+        rep1 = schroedinger_irrep(disc, 2)
+        rep2 = induce_from_isotropic(form, standard_lagrangians(disc, 2)["a_span"])
+        assert rep1.dimension == rep2.dimension == 64
+        found = []
+        assert traced_peak(lambda: found.append(explicit_intertwiner(rep1, rep2))) < 16e6
+        nullity, m = found[0]
+        assert nullity == 1
+        for g in rep1.generator_elements():
+            assert np.max(np.abs(m @ rep1.matrix(g) - rep2.matrix(g) @ m)) <= 1e-12
+
+    def test_equations_over_budget_are_refused(self, z2):
+        # 20 generators at genus 10 need 20 * 1024^2 equations
+        rep = schroedinger_irrep(z2, 10)
+        with pytest.raises(GroupTooLarge, match="intertwiner"):
+            explicit_intertwiner(rep, rep)
 
 
 class TestExactCharacterPairing:
