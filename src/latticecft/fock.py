@@ -12,6 +12,11 @@ energy offset as a numerator over 2 D^2: `sector_character` bins it,
 `sector_state_counts` (criterion 8's explicit counts) adds the binned
 oscillator basis at it.  Oscillator energies are computed once per
 truncation; the annulus sewing check keys energies by numerators too.
+All three lattice scans (the lift search, the coset walk and the
+sewing check's dual vectors) run over one `_box`, a cube of half-width
+h = ceil(sqrt(2 E / lambda_min)) + 1 about -round(c): an x = c + mu of
+energy <= E has |x_i| <= h - 1, and |c_i - round(c_i)| <= 1/2, so the
+cube holds it however skewed the basis.
 The oscillator algebra is realized on the truncated basis with
 [a_m, a_n^+] = m delta, the normalization in which the structure
 constants stay integral.  Bogoliubov vacuum overlaps are the finite-mode
@@ -229,20 +234,19 @@ def _form_int(gram, p) -> int:
     return sum(x * sum(map(operator.mul, row, p)) for x, row in zip(p, gram))
 
 
-def _gram_quadratic(gram, v) -> Fraction:
-    den, p = _numerators(v)
-    return Fraction(_form_int(gram, p), den * den)
-
-
-def _lam_min(lat: EvenLattice) -> float:
-    return float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-
-
-def _box(half: int, rank: int):
-    """The integer points of [-half, half]^rank in lexicographic order;
-    a box over the entry budget is refused before any point is visited."""
-    _within_budget((2 * half + 1) ** rank, "the lattice box")
-    return itertools.product(range(-half, half + 1), repeat=rank)
+def _box(gram, energy, centre):
+    """The integer points of the cube of half-width
+    ceil(sqrt(2 energy / lambda_min)) + 1 (0 at energy 0) about
+    -round(centre), in lexicographic order; it holds every mu with
+    (centre + mu)^T G (centre + mu) / 2 <= energy, G = gram.  A cube over
+    the entry budget is refused before any point is visited."""
+    half = 0
+    if energy:  # float(2 energy) is correctly rounded
+        lam_min = float(np.min(np.linalg.eigvalsh(np.array(gram, dtype=float))))
+        half = int(math.ceil(math.sqrt(2 * energy / lam_min + 1e-12))) + 1
+    _within_budget((2 * half + 1) ** len(centre), "the lattice box")
+    return itertools.product(*(range(-round(c) - half, -round(c) + half + 1)
+                               for c in centre))
 
 
 def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
@@ -253,13 +257,8 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
     # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
     den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
-    q0 = _form_int(lat.gram, p0)
-    half = 0
-    if q0:  # q0 / den^2 is correctly rounded: float() of the norm
-        half = int(math.ceil(math.sqrt(q0 / (den * den) / _lam_min(lat)
-                                       + 1e-12))) + 1
     best = None
-    for mu in _box(half, lat.rank):
+    for mu in _box(lat.gram, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0):
         cand = tuple(l0 + m for l0, m in zip(lift0, mu))
         key = (_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), cand)
         if best is None or key < best:
@@ -269,16 +268,14 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
 
 def _coset_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
     """The coset vectors lift + mu with energy up to ground + max_offset: returns
-    2 D^2 and an iterator of (mu, n), n / (2 D^2) the vector's energy offset."""
+    2 D^2, the ground's numerator q0 over it, and an iterator of (mu, n),
+    n / (2 D^2) the vector's energy offset."""
     den, p0 = _numerators(lift)
     scale = 2 * den * den  # energies are integers over 2 D^2
     bound = (q0 := _form_int(lat.gram, p0)) + scale * max_offset
-    # bound / scale is correctly rounded: float() of the Fraction bound
-    half = int(math.ceil(math.sqrt(2 * (bound / scale) / _lam_min(lat)
-                                   + 1e-12))) + 1
     vectors = ((mu, _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]))
-               for mu in _box(half, lat.rank))
-    return scale, ((mu, q - q0) for mu, q in vectors if q <= bound)
+               for mu in _box(lat.gram, Fraction(bound, scale), lift))
+    return scale, q0, ((mu, q - q0) for mu, q in vectors if q <= bound)
 
 
 def _offset(n: int, scale: int, max_offset: int) -> int:
@@ -315,16 +312,15 @@ def sector_character(lat: EvenLattice, disc: DiscriminantGroup,
     if max_energy < 0:
         raise ValueError(f"max_energy must be nonnegative, got {max_energy}")
     lift = minimal_norm_lift(lat, disc, phi)
-    ground = _gram_quadratic(lat.gram, lift) / 2
     offsets = [0] * (max_energy + 1)
-    scale, vectors = _coset_walk(lat, lift, max_energy)
+    scale, q0, vectors = _coset_walk(lat, lift, max_energy)
     for _, n in vectors:
         offsets[_offset(n, scale, max_energy)] += 1
     osc = partition_counts(max_energy, lat.rank)
     coeffs = [sum(offsets[k] * osc[e - k] for k in range(e + 1))
               for e in range(max_energy + 1)]
-    return SectorCharacter(ground_energy=ground, coefficients=tuple(coeffs),
-                           lift=lift)
+    return SectorCharacter(ground_energy=Fraction(q0, scale),
+                           coefficients=tuple(coeffs), lift=lift)
 
 
 @dataclass(frozen=True)
@@ -344,7 +340,7 @@ class FockState:
 def _sector_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
     """The sector's states up to ground + max_offset, per `_coset_walk` vector:
     yields (mu, occs), occs the oscillator states that fit on top of it."""
-    scale, vectors = _coset_walk(lat, lift, max_offset)
+    scale, _, vectors = _coset_walk(lat, lift, max_offset)
     tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
     # the basis is sorted by energy, so a vector's states are a prefix
@@ -372,7 +368,7 @@ def sector_state_counts(lat: EvenLattice, disc: DiscriminantGroup,
     counts = [0] * (max_offset + 1)
     lift = minimal_norm_lift(lat, disc, phi)
     osc = _enumerated_partition_counts(max_offset, lat.rank)
-    scale, vectors = _coset_walk(lat, lift, max_offset)
+    scale, _, vectors = _coset_walk(lat, lift, max_offset)
     for _, n in vectors:
         off = _offset(n, scale, max_offset)
         for e in range(max_offset - off + 1):
@@ -430,12 +426,9 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
                     lhs[key] = lhs.get(key, 0) + cm * cn
 
     # right side: two dual vectors lie in one coset exactly when their
-    # adj(G) k agree mod det
-    lam_min_dual = 1.0 / float(
-        np.max(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(2 * max_energy / lam_min_dual + 1e-12))) + 1
+    # adj(G) k agree mod det; in k the Gram matrix is adj(G) / det
     cosets: dict[tuple[int, ...], Counter] = {}
-    for k in _box(half, r):
+    for k in _box(np.array(adj) / det, max_energy, [0] * r):
         a = [sum(col[i] * kj for col, kj in zip(adj, k)) for i in range(r)]
         n = _form_int(lat.gram, a)
         if n <= limit:

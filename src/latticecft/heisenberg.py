@@ -91,7 +91,6 @@ class CenterDescription:
 
     boundary_slots: tuple[int, ...]
     generators: tuple[HeisenbergElement, ...]
-    includes_phase_circle: bool = True
 
 
 def center(disc: DiscriminantGroup, surface: Surface) -> CenterDescription:
@@ -143,14 +142,12 @@ class UnitaryRep:
     """
 
     def __init__(self, form: IntersectionForm, dimension: int, monomial_fn,
-                 modulus: int, support: np.ndarray, description: str,
-                 chi: int = 1):
+                 modulus: int, support: np.ndarray, chi: int = 1):
         self.form = form
         self.dimension = dimension
         self._monomial = monomial_fn
         self.modulus = modulus
         self.support = support
-        self.description = description
         self.chi = chi
 
     # monomial data: permutation m and phases alpha, exact
@@ -223,8 +220,7 @@ class UnitaryRep:
                 [a1 * (m // self.modulus), a2 * (m // other.modulus)], axis=-1))
 
         return UnitaryRep(self.form, n1 + other.dimension, mono, m,
-                          np.union1d(self.support, other.support),
-                          f"{self.description} (+) {other.description}", self.chi)
+                          np.union1d(self.support, other.support), self.chi)
 
     def to_json(self) -> dict:
         """Each generator's element and matrix as the library holds them
@@ -281,8 +277,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
     span[:, :, 0] = points.reshape(dim, genus, k)
     support = form.grid.index(span.reshape(dim, -1))
-    return UnitaryRep(form, dim, mono, n, support,
-                      f"schroedinger(genus={genus}, |A|={disc.order})", chi)
+    return UnitaryRep(form, dim, mono, n, support, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +478,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
         chi_b = chi_m[np.searchsorted(members, grid.index(b))]
         return t2, (c * (big_m // n) - chi_b) % big_m
 
-    return UnitaryRep(form, len(reps), mono, big_m, members,
-                      f"induced(|B|={len(members)}, dim={len(reps)})")
+    return UnitaryRep(form, len(reps), mono, big_m, members)
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,12 @@ def _box_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, tau: np.ndarray,
     return _tree_sum(terms[order])
 
 
-def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
-          radius: int | None = None) -> ThetaValue:
+def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12) -> ThetaValue:
     """Evaluate theta[a,b](z, tau) with a truncation tail below tol.
 
     The characteristic a is first reduced into [-1/2, 1/2) by an exact
-    reindexing of the sum; an explicit radius overrides the tail-driven
-    choice (the reported bound still refers to that radius), and is
-    refused if its terms or tail would overflow.  A value past the float
-    range is refused with TruncationOverflow.
+    reindexing of the sum.  A value past the float range is refused with
+    TruncationOverflow.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
@@ -159,16 +156,8 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12,
         y_norm = float(np.linalg.norm(z.imag))
     if 4 * y_norm / lam > DENSE_ENTRY_BUDGET:  # the largest shell is far past MAX_RADIUS
         raise TruncationOverflow(f"|Im z| = {y_norm:.3e} puts the largest terms past the cap")
-    alpha = 0.5
-    if radius is None:
-        radius, bound = _choose_radius(lam, y_norm, g, alpha, tol)
-    else:  # refused unless every shell bound, counted and summed, stays under e^700
-        horizon = radius + 40 + int(4 * y_norm / lam)
-        # the largest exponent in `_shell_terms`, over all real rho
-        peak = math.pi * (g * y_norm ** 2 / lam + 4 * alpha * y_norm * math.sqrt(g))
-        if peak + g * math.log(2 * horizon + 1) + math.log(horizon) > 700:
-            raise TruncationOverflow(f"terms up to e^{peak:.3e} overflow at radius {radius}")
-        bound = float(np.sum(_shell_terms(lam, y_norm, g, alpha, horizon)[radius:]))
+    # |a_i| <= 1/2 after the reduction
+    radius, bound = _choose_radius(lam, y_norm, g, alpha=0.5, tol=tol)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         value = _box_sum(a_red, b_vec, z, tau.tau, radius)
     if not np.isfinite(value):
@@ -325,14 +314,12 @@ def _z_second_derivative(func, z, tau_mat, j, k, h):
 
 
 def heat_equation_residual(spec: ThetaSpec, z, tau: SiegelPoint,
-                           h: float = 1e-3, richardson: bool = True,
-                           func=None) -> float:
+                           h: float = 1e-3, richardson: bool = True) -> float:
     """Max over j <= k of |d theta/d tau_jk - coeff d^2 theta/dz_j dz_k|
     with coeff = 1/(2 pi i (1 + delta_jk)), by central differences
     (Richardson-extrapolated by default)."""
-    if func is None:
-        def func(z, tau_mat):
-            return theta(spec, z, SiegelPoint.make(tau_mat), tol=1e-14).value
+    def func(z, tau_mat):
+        return theta(spec, z, SiegelPoint.make(tau_mat), tol=1e-14).value
     g = tau.g
     z = np.asarray(z, dtype=complex).reshape(g)
     tau_mat = np.asarray(tau.tau)

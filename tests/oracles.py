@@ -8,10 +8,12 @@ series in closed form by divisor sums, modular data one entry at a time
 from the lifts and the Gram matrix, Heisenberg commutant and Hom
 dimensions as float character sums, coset labels by a walk of every
 element, the factorization sum as a tuple loop over label assignments,
-the earlier `Fraction` versions of the fock energies and of the
-cyclotomic reduction of a phase sum, the earlier meshgrid version
-of the Gaussian overlap quadrature, and Heisenberg intertwiners by the
-earlier float nullspace solve over generator matrices.
+fock's lifts, coset offsets and states over a per-axis exact box (axis
+i bounded by x_i^2 <= 2 B (G^-1)_ii, not by the smallest eigenvalue),
+the earlier `Fraction` version of the cyclotomic reduction of a phase
+sum, the earlier meshgrid version of the Gaussian overlap quadrature,
+and Heisenberg intertwiners by the earlier float nullspace solve over
+generator matrices.
 """
 
 from __future__ import annotations
@@ -159,20 +161,15 @@ def raw_theta_sum(a, b, z, tau, radius) -> complex:
 
 def brute_force_sector_counts(gram, lift, max_energy, rank_colors):
     """Count states (lattice shift, colored multipartition) by energy offset
-    above the ground energy, by explicit enumeration."""
-    r = len(gram)
+    above the ground energy, by explicit enumeration over the per-axis
+    exact box of `coset_numerators`."""
     ground = gram_pair(gram, lift, lift) / 2
-    bound = ground + max_energy
-    lam_min = min(np.linalg.eigvalsh(np.array(gram, dtype=float))) * (1 - 1e-9)
-    half = int(np.ceil(float((2 * bound) ** 0.5 / lam_min ** 0.5))) + 2
+    scale, vectors = coset_numerators(gram, lift, ground + max_energy)
     offsets = []
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
-        v = [li + mi for li, mi in zip(lift, mu)]
-        e = gram_pair(gram, v, v) / 2
-        if e <= bound:
-            off = e - ground
-            assert off.denominator == 1 and off >= 0
-            offsets.append(int(off))
+    for _, n in vectors:
+        off, rem = divmod(n - int(ground * scale), scale)
+        assert rem == 0 and off >= 0
+        offsets.append(off)
     osc = colored_partition_states(max_energy, rank_colors)
     counts = [0] * (max_energy + 1)
     for off in offsets:
@@ -463,8 +460,46 @@ def reference_factorization(s, pieces, matching, labels, disc, keep_terms=False)
 
 
 # ---------------------------------------------------------------------------
-# fock energies one Fraction product at a time: the library's earlier
-# versions, kept as references for the integer-numerator ones
+# fock's lattice scans over a per-axis exact box, in integer numerators
+
+
+def _inverse_diagonal(gram) -> list[Fraction]:
+    """(G^-1)_ii, each a cofactor over det G."""
+    r = len(gram)
+    det = laplace_det(gram)
+    return [Fraction(laplace_det([row[:i] + row[i + 1:] for k, row in enumerate(gram)
+                                  if k != i]) if r > 1 else 1, det) for i in range(r)]
+
+
+def coset_box(gram, centre, bound):
+    """The integer mu with (c_i + mu_i)^2 <= 2 bound (G^-1)_ii on every axis,
+    in lexicographic order: by Cauchy-Schwarz in the G^-1 inner product,
+    every c + mu with (c + mu)^T G (c + mu) / 2 <= bound is among them,
+    however skewed the basis."""
+    axes = []
+    for c, inv in zip(centre, _inverse_diagonal(gram)):
+        reach = 2 * bound * inv  # x_i^2 <= reach on the ellipsoid
+        r = math.isqrt(math.floor(reach)) + 1
+        axes.append([m for m in range(math.floor(-c) - r, math.ceil(-c) + r + 1)
+                     if (c + m) ** 2 <= reach])
+    return itertools.product(*axes)
+
+
+def coset_numerators(gram, centre, bound):
+    """2 D^2 and the list of (mu, n) over `coset_box`, one for each c + mu of
+    energy at most bound: D the lcm of c's denominators and
+    n = (D c + D mu)^T G (D c + D mu), so the energy is n / (2 D^2)."""
+    r = len(gram)
+    den = lcm(*(Fraction(x).denominator for x in centre))
+    p = [int(x * den) for x in centre]
+    scale = 2 * den * den
+    out = []
+    for mu in coset_box(gram, centre, bound):
+        v = [pi + den * m for pi, m in zip(p, mu)]
+        n = sum(v[i] * gram[i][j] * v[j] for i in range(r) for j in range(r))
+        if n <= bound * scale:
+            out.append((mu, n))
+    return scale, out
 
 
 def reference_gram_quadratic(gram, v) -> Fraction:
@@ -473,37 +508,25 @@ def reference_gram_quadratic(gram, v) -> Fraction:
 
 
 def reference_minimal_norm_lift(lat, disc, phi) -> tuple[Fraction, ...]:
-    r = lat.rank
+    """The least (norm, vector) over the coset vectors no longer than
+    disc.lift(phi)."""
     lift0 = disc.lift(phi)
-    q0 = reference_gram_quadratic(lat.gram, lift0)
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(float(q0) / lam_min + 1e-12))) + 1 if q0 else 0
-    best = None
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
-        cand = tuple(l0 + m for l0, m in zip(lift0, mu))
-        q = reference_gram_quadratic(lat.gram, cand)
-        key = (q, cand)
-        if best is None or key < best:
-            best = key
-    return best[1]
+    ceiling = reference_gram_quadratic(lat.gram, lift0) / 2
+    _, vectors = coset_numerators(lat.gram, lift0, ceiling)
+    _, mu = min((n, mu) for mu, n in vectors)
+    return tuple(l0 + m for l0, m in zip(lift0, mu))
 
 
 def reference_lattice_offsets(lat, lift, max_energy) -> list[int]:
-    r = lat.rank
     ground = reference_gram_quadratic(lat.gram, lift) / 2
-    bound = ground + max_energy
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
+    scale, vectors = coset_numerators(lat.gram, lift, ground + max_energy)
     counts = [0] * (max_energy + 1)
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
-        v = tuple(l0 + m for l0, m in zip(lift, mu))
-        e = reference_gram_quadratic(lat.gram, v) / 2
-        if e <= bound:
-            off = e - ground
-            if off.denominator != 1:
-                raise NonIntegralEnergy(
-                    f"coset energies differ by {off}, not an integer")
-            counts[int(off)] += 1
+    for _, n in vectors:
+        off, rem = divmod(n - int(ground * scale), scale)
+        if rem or off < 0:
+            raise NonIntegralEnergy(f"coset energies differ by "
+                                    f"{Fraction(n, scale) - ground}, not in 0..{max_energy}")
+        counts[off] += 1
     return counts
 
 
@@ -515,24 +538,17 @@ def reference_state_energy(gram, sector_vector, occupation) -> Fraction:
 def reference_sector_states(lat, disc, phi, max_offset):
     """(sector vector, occupation) pairs in enumeration order."""
     lift = reference_minimal_norm_lift(lat, disc, phi)
-    ground = reference_gram_quadratic(lat.gram, lift) / 2
-    bound = ground + max_offset
-    r = lat.rank
-    lam_min = float(np.min(np.linalg.eigvalsh(np.array(lat.gram, dtype=float))))
-    half = int(math.ceil(math.sqrt(2 * float(bound) / lam_min + 1e-12))) + 1
-    tr = ModeTruncation(rank=r, max_mode=max(max_offset, 1),
+    bound = reference_gram_quadratic(lat.gram, lift) / 2 + max_offset
+    scale, vectors = coset_numerators(lat.gram, lift, bound)
+    tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
     osc_states = oscillator_basis(tr)
     out = []
-    for mu in itertools.product(range(-half, half + 1), repeat=r):
+    for mu, n in vectors:
         v = tuple(l0 + m for l0, m in zip(lift, mu))
-        e_lat = reference_gram_quadratic(lat.gram, v) / 2
-        if e_lat > bound:
-            continue
-        room = bound - e_lat
-        for occ in osc_states:
-            if occupation_energy(occ) <= room:
-                out.append((v, occ))
+        room = int(bound * scale) - n
+        out.extend((v, occ) for occ in osc_states
+                   if occupation_energy(occ) * scale <= room)
     return out
 
 

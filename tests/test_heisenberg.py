@@ -902,7 +902,7 @@ class TestMonomialWork:
         # a support that leaves out the identity does not zero its trace
         rep = schroedinger_irrep(z3, 1)
         narrowed = UnitaryRep(rep.form, rep.dimension, rep._monomial, rep.modulus,
-                              rep.support[1:], rep.description)
+                              rep.support[1:])
         assert narrowed.trace_phase_sum(rep.form.zero()).integer_value() == 3
         elements = enumerate_h1(rep.form)
         for got, want in zip(narrowed.trace_phase_sums(elements), float_traces(rep, elements)):
