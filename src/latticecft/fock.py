@@ -5,13 +5,16 @@ graded by energy <x,x>/2 + |partition|; characters are integer q-series
 computed by generating functions and cross-checked against explicit state
 enumeration.  Energies are integer numerators over a known denominator:
 with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
-p^T G p over 2 D^2.  `minimal_norm_lift` compares numerators over the D
-its box shares, and one coset walk over lift + Z^r yields each vector's
+p^T G p over 2 D^2.  `minimal_norm_lift` ranks its box's points mu by
+(numerator over the D they share, mu), which orders like (norm, lift)
+because the start lift is fixed, and builds the `Fraction` lift only for
+the winner; one coset walk over lift + Z^r yields each vector's
 energy offset as a numerator over 2 D^2: `sector_character` bins it,
 `enumerate_sector_states` lists its oscillator states on top, and
 `sector_state_counts` (criterion 8's explicit counts) adds the binned
 oscillator basis at it.  Oscillator energies are computed once per
-truncation; the annulus sewing check keys energies by numerators too.
+truncation; the annulus sewing check keys energies by numerators too,
+with adj(G) as integer cofactors.
 All three lattice scans (the lift search, the coset walk and the
 sewing check's dual vectors) run over one `_box`, a cube of half-width
 h = ceil(sqrt(2 E / lambda_min)) + 1 about -round(c): an x = c + mu of
@@ -45,7 +48,6 @@ from .lattices import (
     DiscriminantGroup,
     EvenLattice,
     GroupElement,
-    _solve_fraction,
     _within_budget,
 )
 
@@ -257,13 +259,10 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
     # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
     den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
-    best = None
-    for mu in _box(lat.gram, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0):
-        cand = tuple(l0 + m for l0, m in zip(lift0, mu))
-        key = (_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), cand)
-        if best is None or key < best:
-            best = key
-    return best[1]
+    box = _box(lat.gram, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0)
+    # (numerator, mu) orders like (norm, lift0 + mu): only the winner becomes a lift
+    _, mu = min((_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), mu) for mu in box)
+    return tuple(l0 + m for l0, m in zip(lift0, mu))
 
 
 def _coset_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
@@ -409,10 +408,10 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
     # the dual vectors are adj(G) k / det G, so every energy is an integer
     # over 2 det^2; both sides key by that numerator
     r = lat.rank
-    det = det_int(lat.gram)
-    adj = [[(det * x).numerator for x in
-            _solve_fraction(lat.gram, [Fraction(int(k == i)) for k in range(r)])]
-           for i in range(r)]
+    det = lat.det
+    adj = [[(-1) ** (i + j) * det_int([row[:j] + row[j + 1:]
+                                       for k, row in enumerate(lat.gram) if k != i])
+            for j in range(r)] for i in range(r)]  # cofactors; G is symmetric
     scale = 2 * det * det
     limit = scale * max_energy
     lhs: dict[tuple[int, int], int] = {}

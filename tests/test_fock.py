@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from latticecft.lattices import discriminant_group, validate_even_lattice
 from oracles import (
     brute_force_sector_counts,
     colored_partition_states,
+    coset_numerators,
     quadrature_loop_pairing,
     reference_gram_quadratic,
     reference_lattice_offsets,
@@ -302,6 +304,48 @@ def _reference_sewing_lhs(lat, disc, max_energy):
                 if cm and cn and g0 + m + g0 + n <= max_energy:
                     lhs[g0 + m, g0 + n] = lhs.get((g0 + m, g0 + n), 0) + cm * cn
     return tuple(sorted(((str(a), str(b)), v) for (a, b), v in lhs.items()))
+
+
+def _signed_permuted(gram, rng):
+    """The same lattice in a signed-permuted basis: P^T G P."""
+    r = len(gram)
+    perm = rng.sample(range(r), r)
+    sign = [rng.choice((1, -1)) for _ in range(r)]
+    return [[sign[i] * sign[j] * gram[perm[i]][perm[j]] for j in range(r)]
+            for i in range(r)]
+
+
+class TestLiftSearch:
+    @pytest.mark.parametrize("name", ["a2", "a3", "d4", "z2z8"])
+    def test_signed_permuted_bases_against_the_reference(self, name):
+        # every sector in eight seeded signed-permuted bases; each basis has
+        # sectors whose minimal vectors tie, so the tie-break decides the lift
+        rng = random.Random(name)
+        for _ in range(8):
+            lat, disc = lattice_pair(_signed_permuted(REFERENCE_LATTICES[name][0], rng))
+            tied = 0
+            for phi in disc.elements():
+                lift = reference_minimal_norm_lift(lat, disc, phi)
+                assert minimal_norm_lift(lat, disc, phi) == lift, (lat.gram, phi)
+                ground = reference_gram_quadratic(lat.gram, lift) / 2
+                tied += len(coset_numerators(lat.gram, lift, ground)[1]) > 1
+            assert tied, lat.gram
+
+    def test_no_fraction_sum_per_box_point(self, monkeypatch):
+        # d4's nonzero sectors: candidates are ranked on integer keys, and only
+        # the winner adds `Fraction`s, one per coordinate.  The sums inside
+        # disc.lift are the group's, so its lifts are taken beforehand
+        lat, disc = lattice_pair(REFERENCE_LATTICES["d4"][0])
+        sectors = [phi for phi in disc.elements() if any(phi.coords)]
+        monkeypatch.setattr(disc, "lift", {phi: disc.lift(phi) for phi in sectors}.__getitem__)
+        adds = []
+        for op in ("__add__", "__radd__"):
+            monkeypatch.setattr(Fraction, op, lambda a, b, real=getattr(Fraction, op):
+                                adds.append(1) or real(a, b))
+        for phi in sectors:
+            adds.clear()
+            minimal_norm_lift(lat, disc, phi)
+            assert len(adds) <= lat.rank, (phi, len(adds))
 
 
 class TestAgainstFractionReference:
