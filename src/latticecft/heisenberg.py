@@ -262,7 +262,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     _within_budget(genus * disc.order ** min(genus, DENSE_ENTRY_BUDGET.bit_length()),
                    f"the genus-{genus} Schroedinger basis")
     form = IntersectionForm.closed_genus(disc, genus)
-    basis = _MixedRadix(disc.invariant_factors, genus)
+    basis = disc._power(genus)
     dim, k, n = basis.size, basis.k, disc.exponent
     points = basis.rows(np.arange(dim))
     table, chi_n = disc.bilinear_int, chi % n
@@ -356,8 +356,8 @@ def isotropic_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     return _subgroup_search(form, isotropic=True)
 
 
-def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
-               chi: int = 1) -> tuple[np.ndarray, int]:
+def _splitting(form: IntersectionForm, members: np.ndarray,
+               assigned: dict) -> tuple[np.ndarray, int]:
     """A splitting chi of the subgroup B at the sorted grid positions
     `members`, in integers: phases and the least modulus M (a multiple of
     N) with chi(b) = phase / M.  Built one cyclic step at a time: the wrap
@@ -376,7 +376,7 @@ def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
     pool = sorted((p for p in members.tolist() if p), key=lambda p: p not in values)
     # integer phases mod N |B|: each cyclic step divides a wrap phase by
     # its order k, and the orders multiply to |B|
-    big_m, chi, table = n * u, chi % n, {0: 0}
+    big_m, table = n * u, {0: 0}
     for p in pool:
         if p in table:
             if p in values and Fraction(table[p], big_m) != values[p]:
@@ -392,7 +392,7 @@ def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
         k, acc = 1, x
         while (q := int(grid.index(acc))) not in table:
             acc, k = acc + x, k + 1
-        need = (table[q] - chi * cxx * (k * (k - 1) // 2) % n * u) % big_m
+        need = (table[q] - cxx * (k * (k - 1) // 2) % n * u) % big_m
         if p in values:
             if (k * values[p] - Fraction(need, big_m)) % 1:
                 raise NotASplitting(
@@ -405,8 +405,8 @@ def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
         h, chi_h = grid.rows(list(table)), np.array(list(table.values()))
         cxh = cx @ h.T % n
         for m in range(1, k):
-            power = (m * value + chi * cxx * (m * (m - 1) // 2) % n * u) % big_m
-            phases = (power + chi_h + m * cxh % n * chi % n * u) % big_m
+            power = (m * value + cxx * (m * (m - 1) // 2) % n * u) % big_m
+            phases = (power + chi_h + m * cxh % n * u) % big_m
             table.update(zip(grid.index(m * x + h).tolist(), phases.tolist()))
     if set(table) != inside:
         raise NotASplitting("generators do not span the subgroup")
@@ -418,13 +418,13 @@ def _splitting(form: IntersectionForm, members: np.ndarray, assigned: dict,
 
 
 def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
-                        assigned: dict[Coords, Fraction] | None = None,
-                        chi: int = 1) -> dict[Coords, Fraction]:
+                        assigned: dict[Coords, Fraction] | None = None
+                        ) -> dict[Coords, Fraction]:
     """A splitting chi: B -> Q/Z with
     chi(b + b') = chi(b) + chi(b') + c(b, b') mod 1, keyed by the given
     elements: the exact view of `_splitting`, which checks `assigned`."""
     members, at = np.unique(form.grid.index(form.rows(subgroup)), return_inverse=True)
-    phases, modulus = _splitting(form, members, assigned or {}, chi)
+    phases, modulus = _splitting(form, members, assigned or {})
     return {x: Fraction(int(phases[i]), modulus) for x, i in zip(subgroup, at.tolist())}
 
 

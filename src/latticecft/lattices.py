@@ -6,11 +6,14 @@ forms are stored once, as integer tables scaled by the exponent N of A
 and mod 2 are read back from those tables.  The discriminant group A is
 always presented in invariant-factor coordinates fixed once per lattice
 by a Smith normal form of the Gram matrix, so element iteration and all
-derived matrices are deterministic.
+derived matrices are deterministic.  That form is one elimination table,
+[M | U] over V, whose row and column operations record U and V; U^{-1},
+which gives the generators, is kept beside it as its transpose `w`.
 
 It is also the one place that indexes A^m: `_MixedRadix` maps integer
 rows of m * k coordinates to their lexicographic positions and back, in
-`elements()` order at m = 1, for every layer that sums or lists over A^m.
+`elements()` order at m = 1, for every layer that sums or lists over A^m;
+each layer takes its indexer from `DiscriminantGroup._power`.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # (fusion), |A|^k (the factorization sum over k gluing circles).
 DENSE_ENTRY_BUDGET = 2 ** 24
 SLAB = 2 ** 16  # rows per block when a sum runs over all of A^m
+INDEX_LIMIT = 2 ** 62  # largest A^m whose int64 positions cannot overflow
+GAUSS_TOL = 1e-9  # relative float error `signature_mod8` allows the Gauss sum
 
 
 def _within_budget(entries: int, what: str) -> None:
@@ -110,99 +115,52 @@ def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def _snf_with_inverse(m: IntMatrix):
     """Smith normal form that also tracks U^{-1} (needed for discriminant
-    coordinates).  Returns (U, D, V, Uinv) with U*M*V = D."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    coordinates): (U, D, V, Uinv) with U*M*V = D.  One table holds the
+    elimination, [M | I] over I: row operations act on its first rows
+    whole and column operations on M's columns down to the bottom, so it
+    ends as [D | U] over V.  U^{-1} is kept beside it as its transpose w,
+    whose rows take each row operation's inverse.  Each pivot is the
+    first least nonzero entry of the trailing block, row by row."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = [list(r) + [int(i == j) for j in range(rows)] for i, r in enumerate(m)]
+    a += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    w = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for r in uinv:
-            r[i], r[k] = r[k], r[i]
+    def row_add(i, k, c):  # row i += c row k; so column k of U^{-1} -= c column i
+        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
+        w[k] = [x - c * y for x, y in zip(w[k], w[i])]
 
-    def row_add(i, k, c):
-        # row i += c * row k
-        for j in range(cols):
-            a[i][j] += c * a[k][j]
-        for j in range(rows):
-            u[i][j] += c * u[k][j]
-        for r in uinv:
-            r[k] -= c * r[i]
-
-    def row_neg(i):
-        for j in range(cols):
-            a[i][j] = -a[i][j]
-        for j in range(rows):
-            u[i][j] = -u[i][j]
-        for r in uinv:
-            r[i] = -r[i]
-
-    def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    def col_add(j, k, c):
-        # col j += c * col k
+    def col_add(j, k, c):  # col j += c col k, in M and V alike
         for r in a:
             r[j] += c * r[k]
-        for r in v:
-            r[j] += c * r[k]
 
-    n = min(rows, cols)
-    for t in range(n):
-        while True:
-            # move a minimal nonzero entry of the trailing block to (t,t)
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    x = abs(a[i][j])
-                    if x and (best is None or x < best):
-                        best, pivot = x, (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
+    for t in range(min(rows, cols)):
+        while block := [(abs(x), i, j) for i in range(t, rows)
+                        for j, x in enumerate(a[i][t:cols], t) if x]:
+            _, i, j = min(block)
+            a[t], a[i], w[t], w[i] = a[i], a[t], w[i], w[t]
+            if j != t:
+                for r in a:
+                    r[t], r[j] = r[j], r[t]
             if a[t][t] < 0:
-                row_neg(t)
-            clean = True
+                a[t], w[t] = [-x for x in a[t]], [-x for x in w[t]]
+            p = a[t][t]
             for i in range(t + 1, rows):
-                q = a[i][t] // a[t][t]
-                if q:
+                if q := a[i][t] // p:
                     row_add(i, t, -q)
-                if a[i][t]:
-                    clean = False
             for j in range(t + 1, cols):
-                q = a[t][j] // a[t][t]
-                if q:
+                if q := a[t][j] // p:
                     col_add(j, t, -q)
-                if a[t][j]:
-                    clean = False
-            if clean:
-                # pivot must also divide the rest of the block
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t]:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_add(t, offender, 1)
-    d = tuple(tuple(row) for row in a)
-    return (tuple(tuple(r) for r in u), d,
-            tuple(tuple(r) for r in v), tuple(tuple(r) for r in uinv))
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:cols]):
+                continue
+            # the pivot must also divide the rest of the block
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in a[i][t + 1:cols])), None)
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+    return (tuple(tuple(r[cols:]) for r in a[:rows]), tuple(tuple(r[:cols]) for r in a[:rows]),
+            tuple(map(tuple, a[rows:])), tuple(zip(*w)))
 
 
 class _MixedRadix:
@@ -210,10 +168,10 @@ class _MixedRadix:
     coordinates.  A row's position is its mixed-radix index: the
     lexicographic order of A^m, which at one copy is `elements()`."""
 
-    def __init__(self, factors: tuple[int, ...], copies: int = 1, limit: int = 2 ** 62):
+    def __init__(self, factors: tuple[int, ...], copies: int = 1):
         radices = tuple(factors) * copies
         self.size = math.prod(radices)
-        if self.size > limit:
+        if self.size > INDEX_LIMIT:
             raise GroupTooLarge(f"{self.size} elements")
         self.copies, self.k = copies, len(factors)
         self.radices = np.array(radices, dtype=np.int64)
@@ -267,7 +225,7 @@ class DiscriminantGroup:
         self.lattice = lattice
         gram = lattice.gram
         r = lattice.rank
-        u, d, v, uinv = _snf_with_inverse(gram)
+        _, d, _, uinv = _snf_with_inverse(gram)
         all_factors = tuple(d[i][i] for i in range(r))
         keep = tuple(i for i in range(r) if all_factors[i] > 1)
         self.invariant_factors: tuple[int, ...] = tuple(all_factors[i] for i in keep)
@@ -413,14 +371,14 @@ def gauss_sum(disc: DiscriminantGroup) -> complex:
     return total
 
 
-def signature_mod8(disc: DiscriminantGroup, tol: float = 1e-9) -> int:
+def signature_mod8(disc: DiscriminantGroup) -> int:
     """Signature mod 8 certified from the Gauss sum phase."""
     g = gauss_sum(disc)
     mod = abs(g)
-    if abs(mod - math.sqrt(disc.order)) > tol * max(1.0, math.sqrt(disc.order)):
+    if abs(mod - math.sqrt(disc.order)) > GAUSS_TOL * max(1.0, math.sqrt(disc.order)):
         raise ArithmeticError(f"Gauss sum modulus {mod} != sqrt({disc.order})")
     sigma = round((cmath.phase(g) / (2 * math.pi)) * 8) % 8
-    if abs(g - mod * cmath.exp(2j * cmath.pi * sigma / 8)) > tol * max(1.0, mod):
+    if abs(g - mod * cmath.exp(2j * cmath.pi * sigma / 8)) > GAUSS_TOL * max(1.0, mod):
         raise ArithmeticError("Gauss sum phase is not a multiple of 2*pi/8")
     return sigma
 

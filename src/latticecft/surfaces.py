@@ -207,7 +207,7 @@ class IntersectionForm:
     @cached_property
     def grid(self) -> _MixedRadix:
         """A^rank on the mixed-radix indexer: positions in `enumerate_h1` order."""
-        return _MixedRadix(self.disc.invariant_factors, self.rank)
+        return self.disc._power(self.rank)
 
     def rows(self, elements) -> np.ndarray:
         """A stack of elements (coordinate tuples or integer rows) as reduced
@@ -330,10 +330,6 @@ def glue(s1: Surface, s2: Surface | None,
     clusters: dict[int, list[int]] = {}
     for ci in range(len(combined.components)):
         clusters.setdefault(find(ci), []).append(ci)
-    pairs_in_cluster: dict[int, int] = {}
-    for out_id, in_id in matching:
-        root = find(comp_of[out_id])
-        pairs_in_cluster[root] = pairs_in_cluster.get(root, 0) + 1
 
     new_components = []
     for root in sorted(clusters):

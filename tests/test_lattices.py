@@ -18,6 +18,7 @@ from latticecft.lattices import (
     A2_GRAM,
     D4_GRAM,
     E8_GRAM,
+    _snf_with_inverse,
     discriminant_group,
     gauss_sum,
     signature_mod8,
@@ -78,6 +79,10 @@ class TestSmithNormalForm:
         u, d, v, = smith_normal_form(m)
         assert matmul(matmul(u, m), v) == d
         assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
+        u2, d2, v2, uinv = _snf_with_inverse(m)
+        assert (u2, d2, v2) == (u, d, v)
+        assert matmul(u, uinv) == tuple(tuple(int(i == j) for j in range(len(m)))
+                                        for i in range(len(m)))
         diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         for i in range(len(diag) - 1):
             if diag[i + 1]:
@@ -112,6 +117,21 @@ class TestSmithNormalForm:
     def test_rectangular(self):
         self.check(((2, 4, 4),))
         self.check(((2,), (4,), (6,)))
+
+    @pytest.mark.parametrize("m, expected", [
+        (A2_GRAM, (((1, 0), (2, -1)), ((1, 0), (0, 3)), ((0, 1), (1, -2)),
+                   ((1, 0), (2, -1)))),
+        (((2, 4, 4),), (((1,),), ((2, 0, 0),), ((1, -2, -2), (0, 1, 0), (0, 0, 1)),
+                        ((1,),))),
+        # singular, with a negative pivot and a block the first pivot does not divide
+        (((-4, 0, 4), (0, 6, 6), (-4, 6, 10)),
+         (((-1, 1, 0), (-3, 2, 0), (-1, -1, 1)), ((2, 0, 0), (0, 12, 0), (0, 0, 0)),
+          ((-1, 3, 1), (1, -2, -1), (0, 0, 1)), ((2, -1, 0), (3, -1, 0), (5, -2, 1)))),
+    ])
+    def test_pinned_coordinates(self, m, expected):
+        # (U, D, V, U^-1) fix the generators every report is written in
+        assert _snf_with_inverse(m) == expected
+        self.check(m)
 
 
 def small_even_lattices():
