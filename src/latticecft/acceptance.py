@@ -414,8 +414,7 @@ def criterion_09_bogoliubov(tol: Tolerances, seed: int,
                                - fock.gaussian_overlap_quadrature([[t]])))
     for t in cases_2d:
         worst = max(worst, abs(fock.bogoliubov_overlap(t)
-                               - fock.gaussian_overlap_quadrature(
-                                   t, points_per_dim=801)))
+                               - fock.gaussian_overlap_quadrature(t)))
     sym_dev = 0.0
     rng = np.random.default_rng(seed + 9)
     for _ in range(10):

@@ -23,8 +23,8 @@ cube holds it however skewed the basis.
 The oscillator algebra is realized on the truncated basis with
 [a_m, a_n^+] = m delta, the normalization in which the structure
 constants stay integral.  Bogoliubov vacuum overlaps are the finite-mode
-shadow of polarization changes: det(1 - T*T)^(1/4) against an honest
-Gaussian quadrature.
+shadow of polarization changes: det(1 - T*T)^(1/4) against a trapezoid
+quadrature whose grid is sized by its own error bound 2^-80, within budget.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import NonIntegralEnergy, NotContractive
+from .errors import GroupTooLarge, NonIntegralEnergy, NotContractive
 from .exact import det_int
 from .lattices import (
     SLAB,
@@ -50,6 +50,8 @@ from .lattices import (
     GroupElement,
     _within_budget,
 )
+
+QUADRATURE_EPS = 2.0 ** -80  # truncation and alias bound of the overlap quadrature
 
 # ---------------------------------------------------------------------------
 # loop cocycle
@@ -477,13 +479,15 @@ def bogoliubov_overlap(t_matrix) -> float:
     return float(det.real) ** 0.25
 
 
-def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601) -> float:
+def gaussian_overlap_quadrature(t_matrix) -> float:
     """The same overlap from wavefunctions: |<psi_0, psi_T>| normalized,
-    with psi_T(x) ~ exp(-x^T M x / 2), M = (1 - T)(1 + T)^{-1}, integrated
-    on a tensor trapezoid grid.  Supports dimensions 1 and 2; T must be
-    symmetric (a bona fide squeezed vacuum).  The 2-D grid is evaluated
-    in row blocks of at most `SLAB` points, each integrated along its
-    rows before the row integrals are; dimension 1 is one block."""
+    psi_T(x) ~ exp(-x^T M x / 2), M = (1 - T)(1 + T)^{-1}, T symmetric of
+    dimension 1 or 2, on a tensor trapezoid grid sized by its own error
+    bound: each integrand exp(-x^T A x / 2), A = 1 + M, 2 and 2 Re M, is
+    cut at half-width L = sqrt(2 ln(1/eps) / lambda_min(Re A)) and first
+    aliased at step h = pi sqrt(2 lambda_min(Re A^-1) / ln(1/eps)), eps =
+    QUADRATURE_EPS.  A grid over the dense entry budget is refused
+    (`GroupTooLarge`); 2-D grids run in row blocks of at most `SLAB` points."""
     t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     dim = t.shape[0]
     if dim > 2:
@@ -493,14 +497,21 @@ def gaussian_overlap_quadrature(t_matrix, points_per_dim: int = 1601) -> float:
     if float(np.linalg.norm(t, 2)) >= 1.0:
         raise NotContractive("operator norm >= 1")
     m = (np.eye(dim) - t) @ np.linalg.inv(np.eye(dim) + t)
-    lam = float(np.min(np.linalg.eigvalsh(m.real)))
-    span = 10.0 / math.sqrt(min(lam, 1.0))  # ten widths of the widest direction
-    xs = np.linspace(-span, span, points_per_dim)
+    quads = (np.eye(dim) + m, 2 * np.eye(dim), 2 * m.real)  # psi0 psi_T, psi0^2, |psi_T|^2
+    low = min(np.linalg.eigvalsh(a.real)[0] for a in quads)  # sets the largest L
+    alias = min(np.linalg.eigvalsh(np.linalg.pinv(a, rcond=0).real)[0] for a in quads)
+    if min(low, alias) <= 0:  # ||T|| ~ 1 in floats (pinv: A may be singular there)
+        raise GroupTooLarge("the quadrature grid is unbounded in floats")
+    ln = -math.log(QUADRATURE_EPS)
+    span, h = math.sqrt(2 * ln / low), math.pi * math.sqrt(2 * alias / ln)
+    points = 2 * math.ceil(span / h) + 1
+    _within_budget(points ** dim, "the quadrature grid")
+    xs = np.linspace(-span, span, points)
     if dim == 1:  # one block
         blocks = [(np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2))]
     else:  # rows of at most SLAB grid points
-        step, x1 = max(1, SLAB // points_per_dim), xs[None, :]
-        rows = (xs[s:s + step, None] for s in range(0, points_per_dim, step))
+        step, x1 = max(1, SLAB // points), xs[None, :]
+        rows = (xs[s:s + step, None] for s in range(0, points, step))
         blocks = ((np.exp(-(x0 ** 2 + x1 ** 2) / 2),
                    np.exp(-(m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2) / 2))
                   for x0 in rows)

@@ -11,7 +11,7 @@ element, the factorization sum as a tuple loop over label assignments,
 fock's lifts, coset offsets and states over a per-axis exact box (axis
 i bounded by x_i^2 <= 2 B (G^-1)_ii, not by the smallest eigenvalue),
 the earlier `Fraction` version of the cyclotomic reduction of a phase
-sum, the earlier meshgrid version of the Gaussian overlap quadrature,
+sum, the Gaussian overlap quadrature on an explicit meshgrid,
 and Heisenberg intertwiners by the earlier float nullspace solve over
 generator matrices.
 """
@@ -608,18 +608,16 @@ def reference_reduced(terms) -> list[int]:
     return vec[:d]
 
 
-def reference_overlap_quadrature(t_matrix, points_per_dim: int = 1601,
-                                 width: float = 10.0) -> float:
-    """`fock.gaussian_overlap_quadrature` on an explicit meshgrid, with
-    the conjugate and modulus of the real vacuum written out."""
+def reference_overlap_quadrature(t_matrix, span: float, points: int) -> float:
+    """`fock.gaussian_overlap_quadrature` on an explicit meshgrid of the
+    given half-width and points per axis, with the conjugate and modulus
+    of the real vacuum written out."""
     t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     dim = t.shape[0]
     if float(np.linalg.norm(t, 2)) >= 1.0:
         raise NotContractive("operator norm >= 1")
     m = (np.eye(dim) - t) @ np.linalg.inv(np.eye(dim) + t)
-    lam = float(np.min(np.linalg.eigvalsh(m.real)))
-    span = width / math.sqrt(min(lam, 1.0))
-    xs = np.linspace(-span, span, points_per_dim)
+    xs = np.linspace(-span, span, points)
     if dim == 1:
         psi0 = np.exp(-xs ** 2 / 2)
         psit = np.exp(-m[0, 0] * xs ** 2 / 2)

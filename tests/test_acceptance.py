@@ -161,6 +161,17 @@ def test_criterion_09_bogoliubov():
     _report(criterion_09_bogoliubov(TOL, DEFAULT_SEED))
 
 
+class TestBogoliubovCriterionBites:
+    # the quadrature meets the closed form to 2.2e-16, so the default
+    # tolerance 1e-8 fails an overlap off by a relative 1e-7 and forgives
+    # one off by 1e-11
+    @pytest.mark.parametrize("relative,passed", [(1e-7, False), (1e-11, True)])
+    def test_relative_overlap_error(self, monkeypatch, relative, passed):
+        real = fock.bogoliubov_overlap
+        monkeypatch.setattr(fock, "bogoliubov_overlap", lambda t: real(t) * (1 + relative))
+        assert criterion_09_bogoliubov(TOL, DEFAULT_SEED).passed is passed
+
+
 def test_criterion_10_determinism():
     _report(criterion_10_determinism(TOL, DEFAULT_SEED))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -381,9 +382,14 @@ finally:
         fh.write(" ".join(m for m in sys.modules if m.startswith("latticecft.")))
 """
 LOADED_BY_CLI = {"cli", "errors", "exact", "lattices", "surfaces"}
+EVERY_MODULE = {name.removesuffix(".py") for name in os.listdir(os.path.join(SRC, "latticecft"))
+                if name.endswith(".py") and not name.startswith("__")}
 LAYER = {"disc": set(), "blocks": {"blocks"}, "factorize": {"blocks"}, "modular": {"blocks"},
          "verlinde": {"blocks"}, "theta": {"theta"}, "fock": {"fock"},
-         "heisenberg": {"heisenberg"}}
+         "heisenberg": {"heisenberg"}, "accept": EVERY_MODULE}
+# accept writes each criterion's wall time to stderr, one line each and in order
+STDERR = {"accept": b"".join(rb"criterion %02d \[PASS\] [^\n]*\n" % cid
+                             for cid in range(1, 11))}
 # reports.txt pins no modular or theta report: their last bits depend on the
 # machine's BLAS and SIMD exp, so these two are held to the in-process bytes
 UNPINNED = {"modular": ["modular", "--lattice", A2],
@@ -391,8 +397,9 @@ UNPINNED = {"modular": ["modular", "--lattice", A2],
 
 
 class TestFreshProcess:
-    """Each subcommand but accept in a fresh process, which loads only the
-    layer it runs.  In-process tests run with every module loaded already."""
+    """Each subcommand in a fresh process, which loads only the layer it
+    runs; accept loads every layer.  In-process tests run with every
+    module loaded already."""
 
     @pytest.fixture(scope="class")
     def children(self, tmp_path_factory):
@@ -421,7 +428,7 @@ class TestFreshProcess:
         stdout, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 0  # every stored report is an answer
         assert stdout == report
-        assert stderr == b""
+        assert re.fullmatch(STDERR.get(cmd, b""), stderr)
         loaded = {m.removeprefix("latticecft.") for m in path.read_text().split()}
         assert loaded == LOADED_BY_CLI | LAYER[cmd]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latticecft import fock
-from latticecft.errors import NonIntegralEnergy, NotContractive
+from latticecft.errors import GroupTooLarge, NonIntegralEnergy, NotContractive
 from latticecft.fock import (
     FockState,
     ModeTruncation,
@@ -26,7 +26,7 @@ from latticecft.fock import (
     sector_character,
     sector_state_counts,
 )
-from latticecft.lattices import discriminant_group, validate_even_lattice
+from latticecft.lattices import SLAB, discriminant_group, validate_even_lattice
 
 from oracles import (
     brute_force_sector_counts,
@@ -43,6 +43,24 @@ from oracles import (
     theta_a2,
     theta_d4,
 )
+
+
+# acceptance criterion 9's quadrature cases
+C09_CASES = [[[0.0]], [[0.25]], [[-0.6]], [[0.5 + 0.3j]], [[0.2 - 0.55j]],
+             [[0.3, 0.1], [0.1, -0.2]], [[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]],
+             [[0.0, 0.45], [0.45, 0.0]]]
+LINSPACE = np.linspace
+
+
+def fock_grid(t):
+    """(half-width, points per axis) of the grid `gaussian_overlap_quadrature(t)`
+    integrates on, read off its one `np.linspace` call."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "linspace", lambda *args: calls.append(args) or LINSPACE(*args))
+        gaussian_overlap_quadrature(t)
+    ((_, span, points),) = calls
+    return span, points
 
 
 def lattice_pair(gram):
@@ -532,25 +550,57 @@ class TestBogoliubov:
             [[0.0, 0.45], [0.45, 0.0]],
         ]
         for t in mats:
-            got = gaussian_overlap_quadrature(t, points_per_dim=801)
+            got = gaussian_overlap_quadrature(t)
             want = bogoliubov_overlap(t)
             assert abs(got - want) < 1e-8, t
 
-    @pytest.mark.parametrize("t, points", [
-        ([[0.0]], 1601), ([[0.25]], 1601), ([[-0.6]], 1601), ([[0.5 + 0.3j]], 1601),
-        ([[0.2 - 0.55j]], 1601), ([[0.3, 0.1], [0.1, -0.2]], 801),
-        ([[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]], 801),
-        ([[0.0, 0.45], [0.45, 0.0]], 801)])
-    def test_quadrature_bit_identical_to_meshgrid(self, t, points):
-        # the cases of acceptance criterion 9: the broadcast grid and the
-        # real vacuum change no bit of the value
-        assert gaussian_overlap_quadrature(t, points_per_dim=points) == \
-            reference_overlap_quadrature(t, points_per_dim=points)
+    @pytest.mark.parametrize("t, fixed", zip(C09_CASES, [1601] * 5 + [801] * 3))
+    def test_quadrature_bit_identical_to_meshgrid(self, t, fixed):
+        # the cases of acceptance criterion 9: on fock's own grid, with at
+        # least eight times fewer points per axis than the fixed grid each
+        # case ran on before, the broadcast rows and the real vacuum change
+        # no bit of the value
+        span, points = fock_grid(t)
+        assert points < fixed / 8
+        assert gaussian_overlap_quadrature(t) == reference_overlap_quadrature(t, span, points)
+
+    @pytest.mark.parametrize("t", C09_CASES)
+    def test_quadrature_converged_on_its_grid(self, t):
+        # halving the step (2 n - 1 points) moves no value past rounding
+        span, points = fock_grid(t)
+        coarse = reference_overlap_quadrature(t, span, points)
+        assert abs(reference_overlap_quadrature(t, span, 2 * points - 1) - coarse) <= 1e-15
 
     def test_quadrature_in_row_blocks(self, traced_peak):
-        # one 801 x 801 complex grid alone is 10.3 MB; the blocks hold SLAB points
-        t = [[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]]
-        assert traced_peak(lambda: gaussian_overlap_quadrature(t, points_per_dim=801)) < 8e6
+        # one 673 x 673 complex grid alone is 7.2 MB, and the three
+        # integrands' products triple it; the blocks hold SLAB points
+        t = [[0.0, 0.9], [0.9, 0.0]]
+        _, points = fock_grid(t)
+        assert points == 673 and points ** 2 > SLAB
+        assert traced_peak(lambda: gaussian_overlap_quadrature(t)) < 8e6
+
+    @pytest.mark.parametrize("t", [[[0.9999]], [[0.0, 0.98], [0.98, 0.0]]])
+    def test_quadrature_near_unit_norm(self, t):
+        # a fixed 1601- or 801-point grid was off by 4.3e-3 and 6.8e-3 here
+        assert abs(gaussian_overlap_quadrature(t) - bogoliubov_overlap(t)) < 1e-12
+
+    @pytest.mark.parametrize("t", [
+        [[0.0, 1 - 1e-12], [1 - 1e-12, 0.0]],  # M's small eigenvalue is lost to rounding
+        [[1 - 1e-12, 0.0], [0.0, 0.3]]])  # about 1e8 points per axis
+    def test_quadrature_grid_over_budget_is_refused(self, traced_peak, t):
+        def refused():
+            with pytest.raises(GroupTooLarge):
+                gaussian_overlap_quadrature(t)
+        assert traced_peak(refused) < 1e5
+
+    def test_quadrature_random_symmetric(self):
+        rng = np.random.default_rng(25)
+        for k in range(300):
+            dim = 1 + k % 2
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            t = (raw + raw.T) / 2
+            t *= rng.uniform(0.0, 0.9) / np.linalg.norm(t, 2)
+            assert abs(gaussian_overlap_quadrature(t) - bogoliubov_overlap(t)) <= 1e-15, t
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)
