@@ -165,11 +165,6 @@ def t_matrix(disc: DiscriminantGroup) -> np.ndarray:
     return np.diag(np.array(twists)[disc.quadratic_values()])
 
 
-def charge_conjugation(disc: DiscriminantGroup) -> np.ndarray:
-    _within_budget(disc.order ** 2, "the charge conjugation matrix")
-    return np.eye(disc.order)[disc.index(-disc.coordinates())]
-
-
 def fusion_rules(disc: DiscriminantGroup):
     """N_{ab}^c = 1 iff c = a + b, the three-holed-sphere block dimension."""
     _within_budget(disc.order ** 3, "the fusion tensor")

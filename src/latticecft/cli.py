@@ -397,13 +397,16 @@ def run(argv) -> tuple[int, bytes, str | None]:
         inputs, results, verified = HANDLERS[command](args)
         report = {"format": 1, "command": command, "inputs_digest": _digest(inputs),
                   "seed": args.seed, "results": results}
-        code = 0 if verified in (None, True) else 1
+        try:
+            return (0 if verified in (None, True) else 1), _line(report), output
+        except ValueError:  # an int past sys.get_int_max_str_digits(): refused on stdout
+            digits = sys.get_int_max_str_digits()
+            return 2, _line(_refusal(command, "output", "the result is too large to write: "
+                                     f"it holds an integer of over {digits} digits")), None
     except (_ParseError, LatticeCftError, ValueError) as exc:
         kind = ("parse" if isinstance(exc, (_ParseError, json.JSONDecodeError)) else
                 type(exc).__name__ if isinstance(exc, LatticeCftError) else "validation")
-        report = _refusal(command, kind, str(exc))
-        code = 2
-    return code, _line(report), output
+        return 2, _line(_refusal(command, kind, str(exc))), output
 
 
 def _unwritable(path: str) -> str | None:

@@ -50,10 +50,6 @@ class DimensionMismatch(LatticeCftError):
     pass
 
 
-class NonclosedSurface(LatticeCftError):
-    pass
-
-
 class GroupTooLarge(LatticeCftError):
     pass
 

@@ -312,6 +312,8 @@ def sector_character(lat: EvenLattice, disc: DiscriminantGroup,
     by the ground energy."""
     if max_energy < 0:
         raise ValueError(f"max_energy must be nonnegative, got {max_energy}")
+    # the series products below take (E + 1)^2 / 2 steps per oscillator colour
+    _within_budget((max_energy + 1) ** 2 * lat.rank, "the q-series")
     lift = minimal_norm_lift(lat, disc, phi)
     offsets = [0] * (max_energy + 1)
     scale, q0, vectors = _coset_walk(lat, lift, max_energy)

@@ -9,19 +9,22 @@ form, which antisymmetrizes to S; on 2-torsion this distinction matters,
 since the commutator of the (X, phase) product is 2S while the commutant
 structure of the representations is governed by S itself.
 
-Representations compute on the integer rows of H1(S; A) = A^rank that
-the intersection form makes: an element is a row of rank * k ints (k
-invariant factors per slot), and its position is the index the form's
-`grid`, the mixed-radix indexer of `lattices`, gives that row, which is
-its place in `enumerate_h1`.  Subgroups, cosets and splittings are
-sorted arrays of such positions with integer phases.  Each
-representation holds one integer monomial map from a stack of rows to
-stacked permutation and phase arrays mod M, and one table of its traces
-as phase histograms built in stacked passes, which the integer commutant
-and Hom dimensions read (Stone-von Neumann's character pairing).  An
-explicit intertwiner is solved on orbits of integer phased permutations
-of its entries.  Floats appear only in `matrix` and in the M that
-`explicit_intertwiner` returns.
+`schroedinger_irrep(disc, genus)` builds the closed genus-g irrep,
+`induce_from_isotropic(form, generators)` the one induced from the
+isotropic subgroup that coordinate tuples span.  Representations compute
+on the integer rows of H1(S; A) = A^rank that the intersection form
+makes: an element is a row of rank * k ints (k invariant factors per
+slot), and its position is the index the form's `grid`, the mixed-radix
+indexer of `lattices`, gives that row, which is its place in
+`enumerate_h1`.  Subgroups, cosets and splittings are sorted arrays of
+such positions with integer phases.  Each representation holds one
+integer monomial map from a stack of rows to stacked permutation and
+phase arrays mod M, and one table of its traces as phase histograms
+built in stacked passes, which the exact `intertwiner_dimension` reads
+(Stone-von Neumann's character pairing; `commutant_dimension` pairs a
+representation with itself).  An explicit intertwiner is solved on
+orbits of integer phased permutations of its entries.  Floats appear
+only in `matrix` and in the M that `explicit_intertwiner` returns.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     GroupTooLarge,
-    NonclosedSurface,
     NotASplitting,
     NotIsotropic,
 )
@@ -50,7 +52,6 @@ Coords = tuple[tuple[int, ...], ...]
 
 H1_LIMIT = 10 ** 6  # elements of H1(S; A) that are listed or induced over
 SUBGROUP_LIMIT = 4096  # |H1| whose subgroups are enumerated
-IRREDUCIBLE_LIMIT = 10 ** 4  # |H1| for which irreducibility is decided
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,6 @@ class UnitaryRep:
         sums = [PhaseSum(dict(enumerate(h)), self.modulus) for h in hists.tolist()]
         return [sums[i] for i in ids.tolist()]
 
-    def trace_phase_sum(self, x: Coords) -> PhaseSum:
-        return self.trace_phase_sums([x])[0]
-
     def generator_elements(self) -> list[HeisenbergElement]:
         return [HeisenbergElement.pure(x) for x in _units(self.form, range(self.form.rank))]
 
@@ -235,9 +233,8 @@ class UnitaryRep:
         return {"dimension": self.dimension, "generators": gens}
 
 
-def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
-                       chi: int = 1) -> UnitaryRep:
-    """Irreducible representation for a closed surface, on functions of
+def schroedinger_irrep(disc: DiscriminantGroup, genus: int, chi: int = 1) -> UnitaryRep:
+    """Irreducible representation for the closed genus-g surface, on functions of
     the a-cycle Lagrangian A^g:
 
         rho(X, p) f(t) = e^(2 pi i chi (p + b(x_a, t - x_b))) f(t - x_b)
@@ -245,15 +242,6 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus_or_surface,
     where X = (x_a1, x_b1, ..., x_ag, x_bg).  Dimension |A|^g; genus 0
     gives the one-dimensional normalization.
     """
-    if isinstance(genus_or_surface, Surface):
-        s = genus_or_surface
-        if not s.is_closed() or len(s.components) != 1:
-            raise NonclosedSurface(
-                "Schroedinger model needs one closed component; use block "
-                "dimensions for surfaces with boundary")
-        genus = s.components[0].genus
-    else:
-        genus = int(genus_or_surface)
     for d in disc.invariant_factors:
         if math.gcd(chi, d) != 1:
             raise ValueError(f"central exponent {chi} degenerates on Z/{d}")
@@ -452,12 +440,11 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     that covers B is restricted to B; either way `_splitting` checks
     every given value.
     """
-    gens = [g.X if isinstance(g, HeisenbergElement) else g for g in generators]
     # the pairing is bilinear, so generator pairs decide isotropy
-    if not is_isotropic(form, gens):
+    if not is_isotropic(form, generators):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
     grid, n = _walked(form, H1_LIMIT), form.disc.exponent
-    members = _closure(form, gens)
+    members = _closure(form, generators)
     if splitting:
         at = dict(zip(grid.index(form.rows(list(splitting))).tolist(), splitting))
         if set(members.tolist()) <= set(at):
@@ -485,7 +472,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
 # commutants and intertwiners
 
 
-def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
+def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
     """dim Hom(rep1, rep2) = (1/|H1|) sum_x tr rho1(x) conj(tr rho2(x)), exactly:
     the term at x is u(z) v(1/z) in Z[z]/(z^m - 1) for the tables' histograms u, v
     mod m, once per distinct (u, v).  Different central characters give 0."""
@@ -511,13 +498,7 @@ def _character_pairing(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
 
 def commutant_dimension(rep: UnitaryRep) -> int:
     """dim of {M : M rho(x) = rho(x) M for all x}, by the character pairing."""
-    return _character_pairing(rep, rep)
-
-
-def verify_irreducible(rep: UnitaryRep) -> bool:
-    """Schur: the commutant has dimension 1."""
-    _walked(rep.form, IRREDUCIBLE_LIMIT)
-    return commutant_dimension(rep) == 1
+    return intertwiner_dimension(rep, rep)
 
 
 def _same_group(rep1: UnitaryRep, rep2: UnitaryRep) -> bool:
@@ -530,11 +511,6 @@ def _same_group(rep1: UnitaryRep, rep2: UnitaryRep) -> bool:
             or not np.array_equal(f1.disc.bilinear_int, f2.disc.bilinear_int)):
         raise DimensionMismatch("representations of different Heisenberg groups")
     return (rep1.chi - rep2.chi) % f1.disc.exponent == 0
-
-
-def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
-    """dim Hom(rep1, rep2), by the character pairing."""
-    return _character_pairing(rep1, rep2)
 
 
 def _orbits(target: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

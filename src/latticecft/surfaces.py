@@ -138,12 +138,6 @@ class Surface:
         return Surface(tuple(comps))
 
 
-def h1_rank(s: Surface) -> int:
-    """Rank of H1: per component 2g plus (boundary count - 1) when there is
-    boundary at all, the size of `homology_basis`."""
-    return homology_basis(s).rank
-
-
 @dataclass(frozen=True)
 class BasisSlot:
     component: int

@@ -274,6 +274,13 @@ class TestFock:
         assert rep["error_kind"] == "validation"
         assert "max_energy" in rep["detail"]
 
+    @pytest.mark.parametrize("max_energy", ["4096", "5000"])
+    def test_long_q_series_is_refused(self, max_energy):
+        # (E + 1)^2 rank series steps over 2^24: E = 5000 ran 3.3 s before it was refused
+        code, rep = invoke(["fock", "character", "--lattice", "[[2]]",
+                            "--max-energy", max_energy])
+        assert code == 2 and rep["error_kind"] == "GroupTooLarge"
+
 
 class TestHeisenberg:
     def test_export(self):
@@ -286,6 +293,26 @@ class TestHeisenberg:
     def test_genus_12_is_refused(self):
         # 24 generator matrices of size 4096^2, over the dense-entry budget
         assert_refused(["heisenberg", "--lattice", "[[2]]", "--genus", "12"], "GroupTooLarge")
+
+
+class TestReportTooLarge:
+    # on [[6]] a closed genus-g surface has 6^g blocks: 4,669 digits at g = 6000,
+    # past the 4,300 that int-to-str conversion allows, and 3,891 at g = 5000
+    @staticmethod
+    def closed(genus):
+        return json.dumps({"components": [{"genus": genus, "boundaries": []}]})
+
+    @pytest.mark.parametrize("command", ["blocks", "verlinde"])
+    def test_refused_not_a_traceback(self, command):
+        assert_refused([command, "--lattice", "[[6]]", "--surface", self.closed(6000)],
+                       "output")
+
+    @pytest.mark.parametrize("command", ["blocks", "verlinde"])
+    def test_below_the_limit_answers(self, command):
+        proc = invoke_process([command, "--lattice", "[[6]]", "--surface", self.closed(5000)])
+        assert proc.returncode == 0 and proc.stderr == b""
+        results = json.loads(proc.stdout)["results"]
+        assert results.get("dimension", results.get("block_dimension")) == 6 ** 5000
 
 
 class TestDeterminism:
