@@ -54,10 +54,9 @@ def block_dimension(s: Surface, labels: BlockLabel,
 def verify_tensor_duality(s1: Surface, s2: Surface, labels: BlockLabel,
                           disc: DiscriminantGroup) -> dict:
     """Dimension checks for disjoint unions and orientation reversal."""
-    union = s1.disjoint_union(s2)
-    d_union = block_dimension(union, labels, disc)
-    d_prod = block_dimension(s1, labels, disc) * block_dimension(s2, labels, disc)
     d1 = block_dimension(s1, labels, disc)
+    d_union = block_dimension(s1.disjoint_union(s2), labels, disc)
+    d_prod = d1 * block_dimension(s2, labels, disc)
     d1_rev = block_dimension(s1.reversed(), labels.negated(disc), disc)
     return {
         "tensor_lhs": d_union,

@@ -34,6 +34,10 @@ class _ParseError(Exception):
     """An argv, or a JSON value, that is not the shape its option asks for."""
 
 
+class _TooLarge(Exception):
+    """A report with an integer past the int-to-str limit."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _ParseError(message)
@@ -158,6 +162,14 @@ def _parse_complex_array(data):
         raise _ParseError(f"not a complex array: {exc}") from exc
 
 
+def _writable_powers(disc, *surfaces) -> None:
+    """Refuse an |A|^g (g a total genus) past twice the int-to-str limit, unformed."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    genus = max(sum(c.genus for c in s.components) for s in surfaces)
+    if limit and genus * math.log10(disc.order) > 2 * limit:
+        raise _TooLarge
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (inputs, results, verified_or_None), in the
 # library's own values; canonical_json writes them
@@ -186,6 +198,7 @@ def _cmd_blocks(args: argparse.Namespace):
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
+    _writable_powers(disc, s)
     dim = blocks.block_dimension(s, labels, disc)
     inputs = {"gram": lat.gram, "surface": s.to_json(), "labels": _label_inputs(labels)}
     return inputs, {"dimension": dim}, None
@@ -200,6 +213,7 @@ def _cmd_factorize(args: argparse.Namespace):
         _load_json_arg(args.matching), "a list of [circle id, circle id] pairs",
         lambda pair: isinstance(pair, list) and len(pair) == 2)]
     labels = _load_labels(args.labels, disc)
+    _writable_powers(disc, s, *pieces)
     rep = blocks.verify_factorization(s, pieces, matching, labels, disc,
                                       keep_terms=args.terms)
     results = {"lhs": rep.lhs, "rhs": rep.rhs, "equal": rep.equal}
@@ -238,6 +252,7 @@ def _cmd_verlinde(args: argparse.Namespace):
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
+    _writable_powers(disc, s)
     rep = blocks.verlinde_check(s, labels, disc)
     results = {"verlinde_re": rep.verlinde_raw.real, "verlinde_im": rep.verlinde_raw.imag,
                "deviation": rep.deviation}
@@ -399,10 +414,12 @@ def run(argv) -> tuple[int, bytes, str | None]:
                   "seed": args.seed, "results": results}
         try:
             return (0 if verified in (None, True) else 1), _line(report), output
-        except ValueError:  # an int past sys.get_int_max_str_digits(): refused on stdout
-            digits = sys.get_int_max_str_digits()
-            return 2, _line(_refusal(command, "output", "the result is too large to write: "
-                                     f"it holds an integer of over {digits} digits")), None
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            raise _TooLarge from None
+    except _TooLarge:  # refused on stdout
+        digits = sys.get_int_max_str_digits()
+        return 2, _line(_refusal(command, "output", "the result is too large to write: "
+                                 f"it holds an integer of over {digits} digits")), None
     except (_ParseError, LatticeCftError, ValueError) as exc:
         kind = ("parse" if isinstance(exc, (_ParseError, json.JSONDecodeError)) else
                 type(exc).__name__ if isinstance(exc, LatticeCftError) else "validation")

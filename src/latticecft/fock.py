@@ -238,15 +238,14 @@ def _form_int(gram, p) -> int:
     return sum(x * sum(map(operator.mul, row, p)) for x, row in zip(p, gram))
 
 
-def _box(gram, energy, centre):
+def _box(lam_min, energy, centre):
     """The integer points of the cube of half-width
-    ceil(sqrt(2 energy / lambda_min)) + 1 (0 at energy 0) about
+    ceil(sqrt(2 energy / lam_min)) + 1 (0 at energy 0) about
     -round(centre), in lexicographic order; it holds every mu with
-    (centre + mu)^T G (centre + mu) / 2 <= energy, G = gram.  A cube over
-    the entry budget is refused before any point is visited."""
+    (centre + mu)^T G (centre + mu) / 2 <= energy, lam_min G's least eigenvalue.
+    A cube over the entry budget is refused before any point is visited."""
     half = 0
     if energy:  # float(2 energy) is correctly rounded
-        lam_min = float(np.min(np.linalg.eigvalsh(np.array(gram, dtype=float))))
         half = int(math.ceil(math.sqrt(2 * energy / lam_min + 1e-12))) + 1
     _within_budget((2 * half + 1) ** len(centre), "the lattice box")
     return itertools.product(*(range(-round(c) - half, -round(c) + half + 1)
@@ -261,7 +260,7 @@ def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
     # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
     den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
-    box = _box(lat.gram, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0)
+    box = _box(lat.lambda_min, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0)
     # (numerator, mu) orders like (norm, lift0 + mu): only the winner becomes a lift
     _, mu = min((_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), mu) for mu in box)
     return tuple(l0 + m for l0, m in zip(lift0, mu))
@@ -275,7 +274,7 @@ def _coset_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
     scale = 2 * den * den  # energies are integers over 2 D^2
     bound = (q0 := _form_int(lat.gram, p0)) + scale * max_offset
     vectors = ((mu, _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]))
-               for mu in _box(lat.gram, Fraction(bound, scale), lift))
+               for mu in _box(lat.lambda_min, Fraction(bound, scale), lift))
     return scale, q0, ((mu, q - q0) for mu, q in vectors if q <= bound)
 
 
@@ -431,7 +430,8 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
     # right side: two dual vectors lie in one coset exactly when their
     # adj(G) k agree mod det; in k the Gram matrix is adj(G) / det
     cosets: dict[tuple[int, ...], Counter] = {}
-    for k in _box(np.array(adj) / det, max_energy, [0] * r):
+    dual_min = float(np.min(np.linalg.eigvalsh(np.array(adj) / det)))  # once per call
+    for k in _box(dual_min, max_energy, [0] * r):
         a = [sum(col[i] * kj for col, kj in zip(adj, k)) for i in range(r)]
         n = _form_int(lat.gram, a)
         if n <= limit:
@@ -442,16 +442,12 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
             for n2, c2 in energies.items():
                 if n1 + n2 <= limit:
                     pairs[n1, n2] += c1 * c2
-    osc = _enumerated_partition_counts(max_energy, r)
+    osc = _enumerated_partition_counts(max_energy, r)  # every count is at least 1
     rhs: dict[tuple[int, int], int] = {}
     for (n1, n2), mult in pairs.items():
         budget = (limit - n1 - n2) // scale
         for m in range(budget + 1):
-            if not osc[m]:
-                continue
             for n in range(budget - m + 1):
-                if not osc[n]:
-                    continue
                 key = (n1 + m * scale, n2 + n * scale)
                 rhs[key] = rhs.get(key, 0) + mult * osc[m] * osc[n]
 
@@ -489,7 +485,7 @@ def gaussian_overlap_quadrature(t_matrix) -> float:
     cut at half-width L = sqrt(2 ln(1/eps) / lambda_min(Re A)) and first
     aliased at step h = pi sqrt(2 lambda_min(Re A^-1) / ln(1/eps)), eps =
     QUADRATURE_EPS.  A grid over the dense entry budget is refused
-    (`GroupTooLarge`); 2-D grids run in row blocks of at most `SLAB` points."""
+    (`GroupTooLarge`); 2-D grids run in row blocks of `SLAB` points, 1-D in pieces."""
     t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
     dim = t.shape[0]
     if dim > 2:
@@ -509,20 +505,21 @@ def gaussian_overlap_quadrature(t_matrix) -> float:
     points = 2 * math.ceil(span / h) + 1
     _within_budget(points ** dim, "the quadrature grid")
     xs = np.linspace(-span, span, points)
-    if dim == 1:  # one block
-        blocks = [(np.exp(-xs ** 2 / 2), np.exp(-m[0, 0] * xs ** 2 / 2))]
+    if dim == 1:  # pieces of SLAB / 4 points (~80 bytes a point in work), sharing edges
+        pieces = (xs[s:s + SLAB // 4] for s in range(0, points - 1, SLAB // 4 - 1))
+        blocks = ((x, np.exp(-x ** 2 / 2), np.exp(-m[0, 0] * x ** 2 / 2)) for x in pieces)
     else:  # rows of at most SLAB grid points
         step, x1 = max(1, SLAB // points), xs[None, :]
         rows = (xs[s:s + step, None] for s in range(0, points, step))
-        blocks = ((np.exp(-(x0 ** 2 + x1 ** 2) / 2),
+        blocks = ((xs, np.exp(-(x0 ** 2 + x1 ** 2) / 2),
                    np.exp(-(m[0, 0] * x0 ** 2 + 2 * m[0, 1] * x0 * x1 + m[1, 1] * x1 ** 2) / 2))
                   for x0 in rows)
-    # psi0 * psi_T, psi0^2 and |psi_T|^2 along the last axis, one block at a time
-    # (psi0 is real and positive); in 2-D the row integrals are integrated next
-    parts = [[np.trapezoid(f, xs, axis=-1) for f in (psi0 * psit, psi0 ** 2, np.abs(psit) ** 2)]
-             for psi0, psit in blocks]
-    integrals = map(np.hstack, zip(*parts))  # each integrand's row integrals, or its value
-    inner, n0, nt = (np.trapezoid(r, xs) if dim == 2 else r[0] for r in integrals)
+    # psi0 * psi_T, psi0^2 and |psi_T|^2 along the last axis, one block at a time (psi0
+    # is real and positive); in 2-D the row integrals are integrated next, in 1-D summed
+    parts = [[np.trapezoid(f, x, axis=-1) for f in (psi0 * psit, psi0 ** 2, np.abs(psit) ** 2)]
+             for x, psi0, psit in blocks]
+    integrals = map(np.hstack, zip(*parts))  # each integrand's row or piece integrals
+    inner, n0, nt = (np.trapezoid(r, xs) if dim == 2 else r.sum() for r in integrals)
     return float(abs(inner) / math.sqrt(float(n0.real * nt.real)))
 
 

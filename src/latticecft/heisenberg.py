@@ -11,20 +11,21 @@ structure of the representations is governed by S itself.
 
 `schroedinger_irrep(disc, genus)` builds the closed genus-g irrep,
 `induce_from_isotropic(form, generators)` the one induced from the
-isotropic subgroup that coordinate tuples span.  Representations compute
-on the integer rows of H1(S; A) = A^rank that the intersection form
-makes: an element is a row of rank * k ints (k invariant factors per
-slot), and its position is the index the form's `grid`, the mixed-radix
-indexer of `lattices`, gives that row, which is its place in
-`enumerate_h1`.  Subgroups, cosets and splittings are sorted arrays of
-such positions with integer phases.  Each representation holds one
-integer monomial map from a stack of rows to stacked permutation and
-phase arrays mod M, and one table of its traces as phase histograms
-built in stacked passes, which the exact `intertwiner_dimension` reads
-(Stone-von Neumann's character pairing; `commutant_dimension` pairs a
-representation with itself).  An explicit intertwiner is solved on
-orbits of integer phased permutations of its entries.  Floats appear
-only in `matrix` and in the M that `explicit_intertwiner` returns.
+isotropic subgroup that coordinate tuples span.  An element of H1(S; A)
+= A^rank is a row of rank * k ints (k invariant factors per slot), and
+its position is the index the form's `grid`, the mixed-radix indexer of
+`lattices`, gives it: its place in `enumerate_h1`.  Subgroups, cosets
+and splittings are sorted arrays of positions with integer phases.  Each
+representation holds one integer monomial map from a stack of rows to
+stacked permutation and phase arrays mod M, which works on positions:
+sums by the grid's carry `add`, cosets by a walk over the unit
+generators, induced targets and section phases from one grid table.  Its
+traces are phase histograms built in stacked passes, which the exact
+`intertwiner_dimension` reads (Stone-von Neumann's character pairing;
+`commutant_dimension` pairs a representation with itself).  An explicit
+intertwiner is solved on orbits of integer phased permutations of its
+entries.  Floats appear only in `matrix` and in the M that
+`explicit_intertwiner` returns.
 """
 
 from __future__ import annotations
@@ -144,18 +145,13 @@ class UnitaryRep:
 
     def __init__(self, form: IntersectionForm, dimension: int, monomial_fn,
                  modulus: int, support: np.ndarray, chi: int = 1):
-        self.form = form
-        self.dimension = dimension
-        self._monomial = monomial_fn
-        self.modulus = modulus
-        self.support = support
-        self.chi = chi
+        self.form, self.dimension, self._monomial = form, dimension, monomial_fn
+        self.modulus, self.support, self.chi = modulus, support, chi
 
     # monomial data: permutation m and phases alpha, exact
     def monomial(self, x: Coords):
         perm, alpha = self._monomial(self.form.rows([x])[0])
-        m = self.modulus
-        return tuple(perm.tolist()), tuple(Fraction(a, m) for a in alpha.tolist())
+        return tuple(perm.tolist()), tuple(Fraction(a, self.modulus) for a in alpha.tolist())
 
     def cocycle(self, x: Coords, y: Coords) -> Fraction:
         return (self.chi * self.form.cocycle(x, y)) % 1
@@ -164,19 +160,15 @@ class UnitaryRep:
         return (self.chi * phase) % 1
 
     def matrix(self, x: HeisenbergElement | Coords) -> np.ndarray:
-        if isinstance(x, HeisenbergElement):
-            coords, phase = x.X, x.phase
-        else:
-            coords, phase = x, Fraction(0)
+        coords, phase = (x.X, x.phase) if isinstance(x, HeisenbergElement) else (x, Fraction(0))
         perm, alpha = self._monomial(self.form.rows([coords])[0])
         # one scalar evaluation of the exact phase per distinct residue
         residues, inverse = np.unique(alpha, return_inverse=True)
         extra, modulus = float(self.central_character(phase)), self.modulus
         roots = np.array([cmath.exp(2j * cmath.pi * (float(Fraction(a, modulus)) + extra))
                           for a in residues.tolist()], dtype=complex)
-        n = self.dimension
-        m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n), perm] = roots[inverse]
+        m = np.zeros((self.dimension, self.dimension), dtype=complex)
+        m[np.arange(self.dimension), perm] = roots[inverse]
         return m
 
     def _histograms(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,11 +217,8 @@ class UnitaryRep:
         (coordinate tuples, a Fraction phase, array views) for a report writer."""
         elements = self.generator_elements()
         _within_budget(len(elements) * self.dimension ** 2, "the generator matrices")
-        gens = []
-        for g in elements:
-            m = self.matrix(g)
-            gens.append({"element": {"coords": g.X, "phase": g.phase},
-                         "matrix_re": m.real, "matrix_im": m.imag})
+        gens = [{"element": {"coords": g.X, "phase": g.phase}, "matrix_re": m.real,
+                 "matrix_im": m.imag} for g in elements for m in [self.matrix(g)]]
         return {"dimension": self.dimension, "generators": gens}
 
 
@@ -257,9 +246,12 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus: int, chi: int = 1) -> Uni
 
     def mono(y):
         xa, xb = np.moveaxis(y.reshape(*y.shape[:-1], genus, 2, k), -2, 0)
-        shifted = (points - xb.reshape(*xb.shape[:-2], 1, -1)) % basis.radices
-        pairing = (xa @ table % n).reshape(*xa.shape[:-2], -1, 1)  # N b(x_a, .) by slot
-        return basis.index(shifted), (shifted @ pairing)[..., 0] % n * chi_n % n
+        pairing = (xa @ table % n).reshape(*xa.shape[:-2], -1)  # N b(x_a, .) by slot
+        xb = xb.reshape(pairing.shape)
+        # N b(x_a, t - x_b) = N b(x_a, t) - N b(x_a, x_b) mod N, d_i N b(x_a, e_i) being 0
+        phase = pairing @ points.T - (pairing * xb).sum(axis=-1, keepdims=True)
+        shift = np.expand_dims(basis.index(-xb), -1)  # index gives an int on empty object rows
+        return basis.add(np.arange(dim), shift), phase % n * chi_n % n
 
     # traces vanish off the a-cycle span: any b-shift moves every basis point
     span = np.zeros((dim, genus, 2, k), dtype=np.int64)
@@ -418,16 +410,29 @@ def canonical_splitting(form: IntersectionForm, subgroup: list[Coords],
 
 def _coset_labels(grid: _MixedRadix, members: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The coset of B (sorted positions `members`) of each grid position,
-    and each coset's least position, in order: one step per coset, each
-    finding the next unlabelled position by a scan of the flags."""
-    b_rows, free = grid.rows(members), bytearray(b"\1") * grid.size
-    label, unlabelled = np.full(grid.size, -1, dtype=np.int64), np.frombuffer(free, np.uint8)
-    reps, i = [], 0
-    while (i := free.find(1, i)) >= 0:
-        coset = grid.index(grid.rows(i) + b_rows)
-        label[coset], unlabelled[coset] = len(reps), 0
-        reps.append(i)
-    return label, reps
+    and each coset's least position, in order.  The labelled set grows as
+    B + <e_1, ..., e_j> (its positions, int32 under H1_LIMIT, in `walked`):
+    m e_j moves digit j alone, and for k the order of e_j over the set, the
+    layers m = 1 .. k - 1 are new cosets, id + m * (cosets so far), in sum k
+    <= sum d_j steps.  The cosets are then numbered by their least positions."""
+    label, walked = np.full(grid.size, -1, dtype=np.int64), np.empty(grid.size, dtype=np.int32)
+    n, cosets = len(members), 1
+    walked[:n], label[members] = members, 0
+    for d, s in zip(grid.radices.tolist(), grid.strides.tolist()):
+        k = next(m for m in range(1, d + 1) if label[m % d * s] >= 0)  # m e_j is at m s
+        if k > 1:  # else e_j is in the labelled set already
+            digit, ids = walked[:n] // s % d, label[walked[:n]]
+            for m in range(1, k):
+                np.add(walked[:n], ((digit + m) % d - digit) * s, out=walked[m * n:(m + 1) * n])
+                label[walked[m * n:(m + 1) * n]] = ids + m * cosets
+        n, cosets = n * k, cosets * k
+    least = np.full(cosets, grid.size, dtype=np.int64)
+    for start in range(0, grid.size, SLAB):
+        stop = min(start + SLAB, grid.size)
+        np.minimum.at(least, label[start:stop], np.arange(start, stop))
+    by_least = np.argsort(least)
+    np.take(np.argsort(by_least), label, out=label)  # each id's rank among the least positions
+    return label, least[by_least].tolist()
 
 
 def induce_from_isotropic(form: IntersectionForm, generators,
@@ -438,7 +443,9 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     (rho(Y, p) f)(t) = e^(2 pi i (p + c(r_t, Y) - chi(b) - c(b, r_t')))
     f(t') where r_t + Y = b + r_t'.  Dimension |H1| / |B|.  A splitting
     that covers B is restricted to B; either way `_splitting` checks
-    every given value.
+    every given value.  One integer table over the grid, the coset walk's
+    label array, holds t' M + section at x = b + r_t', the section phase
+    being M (c(b, r_t') + chi(b)) mod M; the map reads it at r_t + Y.
     """
     # the pairing is bilinear, so generator pairs decide isotropy
     if not is_isotropic(form, generators):
@@ -451,19 +458,22 @@ def induce_from_isotropic(form: IntersectionForm, generators,
             splitting = {at[p]: splitting[at[p]] for p in members.tolist()}
     chi_m, big_m = _splitting(form, members, splitting or {})
 
-    label, reps = _coset_labels(grid, members)
-    r = grid.rows(reps)
-    left, right = r @ form.cocycle_int % n, r @ form.cocycle_int.T % n
+    table, reps = _coset_labels(grid, members)
+    reps, r, scale = np.array(reps), grid.rows(reps), big_m // n
+    # blocks of B times the cosets, at most SLAB cells counting each row's digits
+    step = max(1, SLAB // (len(reps) * max(1, len(grid.radices))))
+    for start in range(0, len(members), step):
+        b, chi_b = members[start:start + step, None], chi_m[start:start + step, None]
+        cbr = grid.rows(b[:, 0]) @ form.cocycle_int % n @ r.T % n  # N c(b, r_t)
+        # t M + section < |Q| M <= N |H1| <= 10^12 under H1_LIMIT: int64 is safe
+        table[grid.add(b, reps)] = np.arange(len(reps)) * big_m + (cbr * scale + chi_b) % big_m
+    left = r @ form.cocycle_int % n
 
     def mono(y):
         # sections invariant under the lifted subgroup satisfy
         # F(b + x) = e^(-2 pi i (chi(b) + c(b, x))) F(x)
-        x = r + y[..., None, :]
-        t2 = label[grid.index(x)]
-        b = x - r[t2]
-        c = (y @ left.T - np.einsum("...ij,...ij->...i", b, right[t2])) % n
-        chi_b = chi_m[np.searchsorted(members, grid.index(b))]
-        return t2, (c * (big_m // n) - chi_b) % big_m
+        t2, section = np.divmod(table[grid.add(reps, grid.index(y)[..., None])], big_m)
+        return t2, (y @ left.T % n * scale - section) % big_m
 
     return UnitaryRep(form, len(reps), mono, big_m, members)
 

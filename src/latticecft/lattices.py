@@ -75,6 +75,11 @@ class EvenLattice:
     det: int
     level_ell: int
 
+    @cached_property
+    def lambda_min(self) -> float:
+        """The Gram matrix's least eigenvalue in floats, computed once."""
+        return float(np.min(np.linalg.eigvalsh(np.array(self.gram, dtype=float))))
+
 
 def validate_even_lattice(gram) -> EvenLattice:
     """Check symmetry, even diagonal and positive definiteness.
@@ -185,6 +190,13 @@ class _MixedRadix:
     def rows(self, index) -> np.ndarray:
         return np.asarray(index)[..., None] // self.strides % self.radices
 
+    def add(self, p, q) -> np.ndarray:
+        """Positions of rows(p) + rows(q), broadcast: p + q less radix * stride
+        where a digit sum carries.  Outer products are compared, not reduced;
+        on a scalar or a few positions `index` of the summed rows is quicker."""
+        carries = self.rows(p) >= self.radices - self.rows(q)
+        return p + q - carries @ (self.radices * self.strides)
+
     def coords(self, rows) -> list[tuple[tuple[int, ...], ...]]:
         """Rows as tuples of `copies` coordinate tuples."""
         k = self.k
@@ -231,10 +243,8 @@ class DiscriminantGroup:
         self.invariant_factors: tuple[int, ...] = tuple(all_factors[i] for i in keep)
         self.order = math.prod(self.invariant_factors) if keep else 1
         # lift of the i-th generator to the dual lattice: solve G x = Uinv e_i
-        lifts = []
-        for i in keep:
-            col = [Fraction(uinv[k][i]) for k in range(r)]
-            lifts.append(tuple(_solve_fraction(gram, col)))
+        lifts = [tuple(_solve_fraction(gram, [Fraction(uinv[k][i]) for k in range(r)]))
+                 for i in keep]
         self.lift_vectors: tuple[tuple[Fraction, ...], ...] = tuple(lifts)
         # the forms on generators, scaled by the exponent N to integers
         k = len(keep)
@@ -299,12 +309,9 @@ class DiscriminantGroup:
 
     def lift(self, a: GroupElement) -> tuple[Fraction, ...]:
         """Representative of a in dual-lattice coordinates."""
-        r = self.lattice.rank
-        out = [Fraction(0)] * r
-        for c, vec in zip(a.coords, self.lift_vectors):
-            for t in range(r):
-                out[t] += c * vec[t]
-        return tuple(out)
+        pairs = list(zip(a.coords, self.lift_vectors))
+        return tuple(sum((c * vec[t] for c, vec in pairs), Fraction(0))
+                     for t in range(self.lattice.rank))
 
     # -- forms ------------------------------------------------------------
 

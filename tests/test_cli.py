@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -313,6 +314,35 @@ class TestReportTooLarge:
         assert proc.returncode == 0 and proc.stderr == b""
         results = json.loads(proc.stdout)["results"]
         assert results.get("dimension", results.get("block_dimension")) == 6 ** 5000
+
+    @classmethod
+    def argv(cls, command, genus):
+        """`command` on a closed genus-g surface over [[6]]; factorize cuts
+        one handle, a piece of genus g - 1 glued to itself."""
+        argv = [command, "--lattice", "[[6]]", "--surface", cls.closed(genus)]
+        if command == "factorize":
+            circles = [{"id": "o", "orientation": "out"}, {"id": "i", "orientation": "in"}]
+            piece = {"components": [{"genus": genus - 1, "boundaries": circles}]}
+            argv += ["--pieces", json.dumps([piece]), "--matching", '[["o", "i"]]']
+        return argv
+
+    @pytest.mark.parametrize("command", ["blocks", "verlinde", "factorize"])
+    def test_absurd_genus_is_refused_before_the_power(self, command):
+        # 6^(10^8) has 77.8 million digits: forming it took seconds before
+        # the same refusal, at genus 10^7 already
+        start = time.perf_counter()
+        proc = invoke_process(self.argv(command, 10 ** 8))
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2 and proc.stderr == b""
+        assert json.loads(proc.stdout) == cli._refusal(
+            command, "output", "the result is too large to write: it holds an integer "
+            f"of over {sys.get_int_max_str_digits()} digits")
+
+    def test_factorize_below_the_limit_answers(self):
+        proc = invoke_process(self.argv("factorize", 5000))
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert json.loads(proc.stdout)["results"] == {"lhs": 6 ** 5000, "rhs": 6 ** 5000,
+                                                      "equal": True}
 
 
 class TestDeterminism:

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from latticecft import fock
+from latticecft.acceptance import (
+    CHARACTER_GRAMS,
+    DEFAULT_SEED,
+    Tolerances,
+    criterion_08_characters,
+)
 from latticecft.errors import GroupTooLarge, NonIntegralEnergy, NotContractive
 from latticecft.fock import (
     FockState,
@@ -485,6 +491,16 @@ class TestOscillatorWork:
         assert [sector_state_counts(*sector, 10) for sector in sectors] == counts
         assert calls == []
 
+    def test_lambda_min_once_per_gram_matrix(self, monkeypatch):
+        # every box of criterion 8 reads its lattice's least eigenvalue, and
+        # each sewing check its dual Gram's, computed once (152 calls before)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert criterion_08_characters(Tolerances(), DEFAULT_SEED).passed
+        sewing_checks = 4
+        assert len(calls) <= len(CHARACTER_GRAMS) + sewing_checks
+
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_enumerated_partition_counts_equal_recurrence(self, rank):
         for energy in range(13):
@@ -578,6 +594,15 @@ class TestBogoliubov:
         _, points = fock_grid(t)
         assert points == 673 and points ** 2 > SLAB
         assert traced_peak(lambda: gaussian_overlap_quadrature(t)) < 8e6
+
+    def test_quadrature_in_pieces(self, traced_peak):
+        # 499,243 points: the grid alone is 4 MB, and in one block its
+        # complex integrands took 44 MB
+        t = [[1 - 1e-8]]
+        _, points = fock_grid(t)
+        assert points > 4 * SLAB
+        assert traced_peak(lambda: gaussian_overlap_quadrature(t)) < 8e6
+        assert abs(gaussian_overlap_quadrature(t) - bogoliubov_overlap(t)) < 1e-11
 
     @pytest.mark.parametrize("t", [[[0.9999]], [[0.0, 0.98], [0.98, 0.0]]])
     def test_quadrature_near_unit_norm(self, t):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticecft import heisenberg
 from latticecft.errors import (
     DimensionMismatch,
     GroupTooLarge,
@@ -192,6 +194,12 @@ class TestSchroedinger:
         rep = schroedinger_irrep(z3, 0)
         assert rep.dimension == 1
         assert np.allclose(rep.matrix(HeisenbergElement.pure(())), [[1.0]])
+
+    def test_genus_zero_on_object_tables(self):
+        # an exponent past DENSE_ENTRY_BUDGET keeps the forms as object arrays,
+        # whose empty rows index to a plain int
+        rep = schroedinger_irrep(disc_of([[2 * 10 ** 8]]), 0)
+        assert rep.monomial(()) == ((0,), (Fraction(0),))
 
     def test_z2_generator_matrices(self, z2):
         rep = schroedinger_irrep(z2, 1)
@@ -478,6 +486,15 @@ class TestWorkingSet:
                induce_from_isotropic(form, standard_lagrangians(disc, 2)[name]))
         assert traced_peak(lambda: commutant_dimension(rep)) < 6e6
 
+    @pytest.mark.parametrize("lagrangian", ["a_span", "b_span", "diagonal"])
+    def test_z2z8_genus_two_induction(self, lagrangian, traced_peak):
+        # the coset walk's two arrays over the 65,536 positions and the
+        # section table's blocks of B
+        disc = disc_of(SWEEP_GRAMS["z2z8"])
+        form = IntersectionForm.closed_genus(disc, 2)
+        gens = standard_lagrangians(disc, 2)[lagrangian]
+        assert traced_peak(lambda: induce_from_isotropic(form, gens)) < 6e6
+
 
 class TestWalkLimits:
     """Each walk over all of H1(S; A) is refused past its limit, before
@@ -597,6 +614,27 @@ class TestMonomialReference:
         rep = schroedinger_irrep(disc, genus, chi=chi)
         for y in enumerate_h1(rep.form):
             assert rep.monomial(y) == schroedinger_monomial(disc, genus, y, chi), y
+
+
+class TestMonomialReferenceSmallSlab(TestMonomialReference):
+    """The same references with SLAB at 8: the section table's blocks, the
+    coset walk's slices and the trace passes all cross many block edges.
+    Each induced representation's traces are read against the fixed points
+    of its checked map too."""
+
+    @pytest.fixture(autouse=True)
+    def small_slab(self, monkeypatch):
+        monkeypatch.setattr(heisenberg, "SLAB", 8)
+
+    def check_induced(self, gram, genus, gens, assigned=None):
+        rep = super().check_induced(gram, genus, gens, assigned)
+        elements = enumerate_h1(rep.form)
+        for y, tr in zip(elements, rep.trace_phase_sums(elements)):
+            perm, phases = rep.monomial(y)
+            fixed = Counter(int(a * rep.modulus) for t, (p, a) in enumerate(zip(perm, phases))
+                            if p == t)
+            assert {r: c for r, c in tr.counts.items() if c} == fixed, y
+        return rep
 
 
 class TestGroupMismatch:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from latticecft.lattices import (
     A2_GRAM,
     D4_GRAM,
     E8_GRAM,
+    _MixedRadix,
     _snf_with_inverse,
     discriminant_group,
     gauss_sum,
@@ -324,3 +326,35 @@ class TestGaussSum:
         expected = math.sqrt(disc.order) * cmath.exp(2j * cmath.pi * (lat.rank % 8) / 8)
         assert abs(g - expected) < 1e-9
         assert signature_mod8(disc) == lat.rank % 8
+
+
+class TestMixedRadixAdd:
+    """`add` of two positions is the position of their rows' sum, each digit
+    reduced by its own radix, for every broadcast the representations use."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(2,), (5,), (2, 6, 12), (3, 3), (2, 8)]), st.integers(1, 3),
+           st.data())
+    def test_equals_index_of_summed_rows(self, factors, copies, data):
+        grid = _MixedRadix(factors, copies)
+        position = st.integers(0, grid.size - 1)
+        p, q = data.draw(position), data.draw(position)
+        ps = np.array(data.draw(st.lists(position, min_size=1, max_size=6)))
+        qs = np.array(data.draw(st.lists(position, min_size=1, max_size=6)))
+        for a, b in [(p, q), (ps, q), (p, qs), (ps, ps[::-1]), (ps[:, None], qs)]:
+            want = grid.index(grid.rows(a) + grid.rows(b))
+            got = grid.add(a, b)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+    def test_every_pair_of_a_mixed_grid(self):
+        grid = _MixedRadix((2, 6, 12), 1)
+        every = np.arange(grid.size)
+        assert np.array_equal(grid.add(every[:, None], every),
+                              grid.index(grid.rows(every)[:, None] + grid.rows(every)))
+
+    def test_empty_grid(self):
+        # E8 is unimodular: A = 0, so A^2 has one position and no digits
+        grid = discriminant_group(validate_even_lattice(E8_GRAM))._power(2)
+        assert grid.size == 1 and grid.add(0, 0) == 0
+        assert grid.add(np.zeros((3, 1), dtype=np.int64), np.zeros(2, dtype=np.int64)).tolist() \
+            == [[0, 0]] * 3
