@@ -5,12 +5,14 @@ graded by energy <x,x>/2 + |partition|; characters are integer q-series
 computed by generating functions and cross-checked against explicit state
 enumeration.  Energies are integer numerators over a known denominator:
 with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
-p^T G p over 2 D^2.  `minimal_norm_lift` ranks its box's points mu by
-(numerator over the D they share, mu), which orders like (norm, lift)
-because the start lift is fixed, and builds the `Fraction` lift only for
-the winner; one coset walk over lift + Z^r yields each vector's
-energy offset as a numerator over 2 D^2: `sector_character` bins it,
-`enumerate_sector_states` lists its oscillator states on top, and
+p^T G p over 2 D^2.  `minimal_norm_lift` bounds its box by the shorter
+of the start lift and its nearest translate (the box's centre), ranks
+the box's points mu by (numerator over the D they share, mu), which
+orders like (norm, lift) because the start lift is fixed, and builds the
+`Fraction` lift only for the winner; one coset walk over lift + Z^r
+yields each vector's energy offset as a numerator over 2 D^2:
+`sector_character` bins it, `enumerate_sector_states` lists its
+oscillator states on top, and
 `sector_state_counts` (criterion 8's explicit counts) adds the binned
 oscillator basis at it.  Oscillator energies are computed once per
 truncation; the annulus sewing check keys energies by numerators too,
@@ -255,12 +257,16 @@ def _box(lam_min, energy, centre):
 def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
                       phi: GroupElement) -> tuple[Fraction, ...]:
     """Minimal-norm dual-lattice representative of the coset phi, ties
-    broken lexicographically."""
+    broken lexicographically.  The box is bounded by the shorter of
+    disc.lift(phi) and its nearest translate lift - round(lift), the box's
+    centre: both are coset vectors, so the minimum is no longer than either."""
     # its own box around disc.lift, not `_coset_walk`'s: folded into the
     # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
     den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
-    box = _box(lat.lambda_min, Fraction(_form_int(lat.gram, p0), 2 * den * den), lift0)
+    near = [x - den * round(l) for x, l in zip(p0, lift0)]
+    bound = min(_form_int(lat.gram, p0), _form_int(lat.gram, near))
+    box = _box(lat.lambda_min, Fraction(bound, 2 * den * den), lift0)
     # (numerator, mu) orders like (norm, lift0 + mu): only the winner becomes a lift
     _, mu = min((_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), mu) for mu in box)
     return tuple(l0 + m for l0, m in zip(lift0, mu))

@@ -250,7 +250,7 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus: int, chi: int = 1) -> Uni
         xb = xb.reshape(pairing.shape)
         # N b(x_a, t - x_b) = N b(x_a, t) - N b(x_a, x_b) mod N, d_i N b(x_a, e_i) being 0
         phase = pairing @ points.T - (pairing * xb).sum(axis=-1, keepdims=True)
-        shift = np.expand_dims(basis.index(-xb), -1)  # index gives an int on empty object rows
+        shift = basis.index(-xb)[..., None]
         return basis.add(np.arange(dim), shift), phase % n * chi_n % n
 
     # traces vanish off the a-cycle span: any b-shift moves every basis point
@@ -267,6 +267,8 @@ def schroedinger_irrep(disc: DiscriminantGroup, genus: int, chi: int = 1) -> Uni
 def _extend_subgroup(grid: _MixedRadix, subgroup: frozenset, x: int) -> frozenset:
     """<H, x> for a subgroup H of an abelian group, as grid positions: the
     union of the cosets j*x + H."""
+    if x in subgroup:
+        return subgroup
     rows = grid.rows(list(subgroup))
     out = set(subgroup)
     step = acc = grid.rows(x)
@@ -336,6 +338,12 @@ def isotropic_subgroups(form: IntersectionForm) -> list[list[Coords]]:
     return _subgroup_search(form, isotropic=True)
 
 
+def _cocycle_exponent(form: IntersectionForm) -> int:
+    """N, the denominator of the cocycle's values; 1 at rank 0, where H1 = 0
+    and every phase is 0, so an A past the entry budget keeps M small."""
+    return form.disc.exponent if form.rank else 1
+
+
 def _splitting(form: IntersectionForm, members: np.ndarray,
                assigned: dict) -> tuple[np.ndarray, int]:
     """A splitting chi of the subgroup B at the sorted grid positions
@@ -345,7 +353,7 @@ def _splitting(form: IntersectionForm, members: np.ndarray,
     resolved deterministically or taken from `assigned` (elements to
     values mod 1).  Every assigned value is checked, against the wrap
     phase or against the value already forced; chi(0) = 0."""
-    grid, n, u = form.grid, form.disc.exponent, len(members)
+    grid, n, u = form.grid, _cocycle_exponent(form), len(members)
     inside, values = set(members.tolist()), {}
     for x, p in zip(assigned, grid.index(form.rows(list(assigned))).tolist()):
         if p not in inside:
@@ -450,7 +458,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
     # the pairing is bilinear, so generator pairs decide isotropy
     if not is_isotropic(form, generators):
         raise NotIsotropic("the pairing does not vanish on the subgroup")
-    grid, n = _walked(form, H1_LIMIT), form.disc.exponent
+    grid, n = _walked(form, H1_LIMIT), _cocycle_exponent(form)
     members = _closure(form, generators)
     if splitting:
         at = dict(zip(grid.index(form.rows(list(splitting))).tolist(), splitting))
@@ -467,7 +475,7 @@ def induce_from_isotropic(form: IntersectionForm, generators,
         cbr = grid.rows(b[:, 0]) @ form.cocycle_int % n @ r.T % n  # N c(b, r_t)
         # t M + section < |Q| M <= N |H1| <= 10^12 under H1_LIMIT: int64 is safe
         table[grid.add(b, reps)] = np.arange(len(reps)) * big_m + (cbr * scale + chi_b) % big_m
-    left = r @ form.cocycle_int % n
+    left = (r @ form.cocycle_int % n).astype(np.int64)  # rank 0 keeps object tables
 
     def mono(y):
         # sections invariant under the lifted subgroup satisfy

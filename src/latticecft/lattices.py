@@ -184,8 +184,9 @@ class _MixedRadix:
                                 dtype=np.int64)
 
     def index(self, rows) -> np.ndarray:
-        """Positions of rows (last axis), reduced mod the radices."""
-        return (rows % self.radices) @ self.strides
+        """Positions of rows (last axis), reduced mod the radices; int64, also
+        for the object rows of an A past the entry budget (at rank 0, empty)."""
+        return np.asarray(rows % self.radices, dtype=np.int64) @ self.strides
 
     def rows(self, index) -> np.ndarray:
         return np.asarray(index)[..., None] // self.strides % self.radices

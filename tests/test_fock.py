@@ -355,6 +355,31 @@ class TestLiftSearch:
                 tied += len(coset_numerators(lat.gram, lift, ground)[1]) > 1
             assert tied, lat.gram
 
+    def test_box_from_the_nearest_translate(self, monkeypatch):
+        # d4's sector (1, 1) has the SNF lift (1/2, 1, 0, 3/2) at energy 3/2;
+        # its nearest translate, the box's centre, is at 1/2: a 7^4 cube, not 11^4
+        lat, disc = lattice_pair(REFERENCE_LATTICES["d4"][0])
+        phi = disc.element((1, 1))
+        assert disc.lift(phi) == (Fraction(1, 2), 1, 0, Fraction(3, 2))
+        asked, box = [], fock._box
+        monkeypatch.setattr(fock, "_box", lambda lam, energy, centre: asked.append(energy)
+                            or list(box(lam, energy, centre)))
+        lift = minimal_norm_lift(lat, disc, phi)
+        assert asked == [Fraction(1, 2)]
+        assert len(list(box(lat.lambda_min, asked[0], lift))) == 7 ** 4
+        assert lift == reference_minimal_norm_lift(lat, disc, phi)
+
+    def test_skewed_d4_sector_answers_from_the_nearest_translate(self):
+        # the SNF lift of (1, 0) in this D4 basis sized a 20,151,121-point box,
+        # over the entry budget; its nearest translate sizes one within it.
+        # At E = 0: the E = 2 walk alone takes some 25 s
+        lat, disc = lattice_pair([[12, -28, -4, 2], [-28, 66, 11, -5],
+                                  [-4, 11, 6, -2], [2, -5, -2, 2]])
+        phi = disc.element((1, 0))
+        ch = sector_character(lat, disc, phi, 0)
+        assert (ch.ground_energy, ch.coefficients) == (Fraction(1, 2), (8,))
+        assert ch.lift == reference_minimal_norm_lift(lat, disc, phi)
+
     def test_no_fraction_sum_per_box_point(self, monkeypatch):
         # d4's nonzero sectors: candidates are ranked on integer keys, and only
         # the winner adds `Fraction`s, one per coordinate.  The sums inside

@@ -385,6 +385,18 @@ class TestInduction:
             else:
                 assert tr.is_zero()
 
+    @pytest.mark.parametrize("surface", [Surface.sphere(), Surface.disk()])
+    def test_rank_zero_over_object_tables(self, surface):
+        # an exponent past DENSE_ENTRY_BUDGET keeps the forms as object arrays;
+        # over H1 = 0 the induced representation is the trivial one
+        form = IntersectionForm(surface, disc_of([[2 * 10 ** 8]]))
+        for gens in ([], [form.zero()]):
+            rep = induce_from_isotropic(form, gens)
+            assert (rep.dimension, rep.modulus) == (1, 1)
+            assert rep.monomial(form.zero()) == ((0,), (Fraction(0),))
+            (trace,) = rep.trace_phase_sums([form.zero()])
+            assert trace.integer_value() == 1
+
 
 def test_induced_modulus_is_least_common_denominator():
     # the integer splitting's modulus is lcm(N, denominators of the exact
