@@ -233,7 +233,7 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
             ok = ok and mult * len(sub) == disc.order and mult * mult * len(sub) == perp
             ok = ok and rep.dimension == expected_dim
             # expected_dim at zero, the first element, and 0 elsewhere
-            traces = rep.trace_phase_sums(elements)
+            traces = rep.trace_phase_sums(rows)
             value = {t: t.integer_value() for t in set(traces)}  # once per distinct sum
             ok = ok and all(value[t] == (0 if i else expected_dim)
                             for i, t in enumerate(traces))

@@ -14,6 +14,7 @@ the suite verifies, with sigma certified by the Gauss-sum oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import InvalidSplit, MissingLabel
 from .exact import PhaseSum
 from .lattices import (
+    DENSE_ENTRY_BUDGET,
     DiscriminantGroup,
     GroupElement,
     _within_budget,
@@ -37,12 +39,14 @@ from .surfaces import (
     glue,
 )
 
+TERMS_BUDGET = 2 ** 18  # most terms a factorization lists: 2^18 on [[64]] peak near 165 MB
 
-def block_dimension(s: Surface, labels: BlockLabel,
-                    disc: DiscriminantGroup) -> int:
+
+def block_dimension(s: Surface, labels: BlockLabel, disc: DiscriminantGroup,
+                    deltas: tuple[GroupElement, ...] | None = None) -> int:
     """Product over components of |A|^g, or 0 where the label obstruction
-    is nonzero."""
-    deltas = delta_obstruction(s, labels, disc)
+    is nonzero; a caller that has `delta_obstruction` already passes it."""
+    deltas = delta_obstruction(s, labels, disc) if deltas is None else deltas
     dim = 1
     for comp, d in zip(s.components, deltas):
         if d != disc.zero:
@@ -126,7 +130,8 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
     signs = np.array(signs, dtype=np.int64).reshape(len(matching) * k, width)
     radices = np.array(disc.invariant_factors * len(comps), dtype=const.dtype)
 
-    _within_budget(disc.order ** len(matching), "the factorization sum")
+    _within_budget(disc.order ** len(matching), "the factorization sum",
+                   TERMS_BUDGET if keep_terms else DENSE_ENTRY_BUDGET)
     grid = disc._power(len(matching))
     count, terms = 0, []
     for rows in grid.slabs():
@@ -207,25 +212,26 @@ def verlinde_check(s: Surface, labels: BlockLabel,
     integer.  Its float value is kept only for the reported verlinde_raw
     and deviation.
     """
-    n = disc.order
-    num, den = 1, 1
+    n, num = disc.order, 1
     raw, approx = 1 + 0j, 1.0
-    for comp, total in zip(s.components, delta_obstruction(s, labels, disc)):
-        phases = _character_sum(disc, total)
+    for comp, total in zip(s.components, deltas := delta_obstruction(s, labels, disc)):
+        if total.coords not in disc._characters:  # each element's sum once per disc
+            phases = _character_sum(disc, total)
+            disc._characters[total.coords] = phases.integer_value(), phases.to_complex()
         # a character sum over A: |A| or 0, always an integer
-        value = phases.integer_value()
+        value, value_float = disc._characters[total.coords]
         num *= value * n ** comp.genus
-        den *= n
         # numpy's power gives inf instead of raising past the float range
         with np.errstate(over="ignore"):
             scale = float(np.float64(n) ** (comp.genus - 1))
-        raw *= scale * phases.to_complex()
+        raw *= scale * value_float
         approx *= scale * value
-    exact = Fraction(num, den)
-    bdim = block_dimension(s, labels, disc)
+    exact = Fraction(num, n ** len(s.components))
+    bdim = block_dimension(s, labels, disc, deltas)
+    dev = raw - approx  # CPython's abs of a complex NaN can raise on a stale errno
+    deviation = abs(dev) if cmath.isfinite(dev) else math.hypot(dev.real, dev.imag)
     return VerlindeReport(verlinde_raw=raw, rounded=round(exact),
-                          block_dim=bdim, deviation=abs(raw - approx),
-                          equal=exact == bdim)
+                          block_dim=bdim, deviation=deviation, equal=exact == bdim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -505,9 +505,9 @@ def intertwiner_dimension(rep1: UnitaryRep, rep2: UnitaryRep) -> int:
         return spread.reshape(len(hists), m), ids[np.searchsorted(rep.support, common)]
 
     (h1, i1), (h2, i2) = strided(rep1), strided(rep2)
-    pairs, counts = np.unique(np.stack([i1, i2], axis=1), axis=0, return_counts=True)
+    pairs, counts = np.unique(i1 * len(h2) + i2, return_counts=True)  # (i, j) as one key
     sums = sum(count * np.correlate(np.concatenate([h1[i], h1[i]]), h2[j], "valid")[:m]
-               for (i, j), count in zip(pairs.tolist(), counts.tolist()))
+               for i, j, count in zip(*np.divmod(pairs, len(h2)), counts.tolist()))
     value = PhaseSum(dict(enumerate(sums.tolist())), m).integer_value()
     if value is None or value % rep1.form.grid.size:
         raise ArithmeticError("character pairing is not a multiple of |H1|")

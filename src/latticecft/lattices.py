@@ -43,9 +43,9 @@ INDEX_LIMIT = 2 ** 62  # largest A^m whose int64 positions cannot overflow
 GAUSS_TOL = 1e-9  # relative float error `signature_mod8` allows the Gauss sum
 
 
-def _within_budget(entries: int, what: str) -> None:
-    if entries > DENSE_ENTRY_BUDGET:
-        raise GroupTooLarge(f"{what} needs {entries} entries, over {DENSE_ENTRY_BUDGET}")
+def _within_budget(entries: int, what: str, budget: int = DENSE_ENTRY_BUDGET) -> None:
+    if entries > budget:
+        raise GroupTooLarge(f"{what} needs {entries} entries, over {budget}")
 
 
 def _read(x, table, y, n: int) -> Fraction:
@@ -264,6 +264,7 @@ class DiscriminantGroup:
             tuple(Fraction(m, n) for m in row) for row in bil)
         self.quadratic_diag: tuple[Fraction, ...] = tuple(Fraction(m, n) for m in quad)
         self._powers: dict[int, _MixedRadix] = {}
+        self._characters: dict[tuple[int, ...], tuple[int, complex]] = {}  # blocks' sums
 
     # -- elements ---------------------------------------------------------
 

@@ -30,6 +30,7 @@ MAX_RADIUS = 60
 class SiegelPoint:
     tau: np.ndarray
     g: int
+    _lam_min: float  # Im(tau)'s least eigenvalue, from the validation
 
     @staticmethod
     def make(tau_like) -> "SiegelPoint":
@@ -41,19 +42,19 @@ class SiegelPoint:
             raise NotPositiveDefinite("tau must be square")
         if np.max(np.abs(tau - tau.T)) > 1e-12:
             raise NotPositiveDefinite("tau must be symmetric")
-        y = tau.imag
-        if np.min(np.linalg.eigvalsh(y)) <= 1e-12:
+        lam = float(np.min(np.linalg.eigvalsh(tau.imag)))
+        if lam <= 1e-12:
             raise NotPositiveDefinite("Im(tau) must be positive definite")
         tau = tau.copy()
         tau.flags.writeable = False
-        return SiegelPoint(tau=tau, g=g)
+        return SiegelPoint(tau=tau, g=g, _lam_min=lam)
 
     @property
     def im(self) -> np.ndarray:
         return self.tau.imag
 
     def lam_min(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.tau.imag)))
+        return self._lam_min
 
 
 @dataclass(frozen=True)
@@ -120,17 +121,16 @@ def _tree_sum(arr: np.ndarray) -> complex:
 
 def _box_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, tau: np.ndarray,
              radius: int) -> complex:
-    g = len(a)
-    _within_budget((2 * radius + 1) ** g * g, "the theta box")
-    axes = [np.arange(-radius, radius + 1, dtype=float)] * g
-    grid = np.meshgrid(*axes, indexing="ij") if g else []
-    n = np.stack([gr.ravel() for gr in grid], axis=1) if g else np.zeros((1, 0))
+    g, m = len(a), 2 * radius + 1
+    _within_budget(m ** g * g, "the theta box")
+    # the 'ij' meshgrid rows of [-radius, radius]^g: row i is i's base-m digits less radius
+    n = np.arange(m ** g)[:, None] // m ** np.arange(g - 1, -1, -1) % m - radius
     x = n + a
     quad = np.einsum("ij,jk,ik->i", x, tau, x)
     lin = x @ (z + b)
     terms = np.exp(1j * np.pi * quad + 2j * np.pi * lin)
-    order = np.lexsort(n.T) if g else np.array([0])
-    return _tree_sum(terms[order])
+    # summed in np.lexsort's order of the rows, last coordinate first: the grid transposed
+    return _tree_sum(terms.reshape((m,) * g).T.ravel())
 
 
 def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12) -> ThetaValue:
@@ -300,11 +300,7 @@ def _tau_derivative(func, z, tau_mat, j, k, h):
 
 
 def _z_second_derivative(func, z, tau_mat, j, k, h):
-    g = len(z)
-    ej = np.zeros(g)
-    ej[j] = 1.0
-    ek = np.zeros(g)
-    ek[k] = 1.0
+    ej, ek = np.eye(len(z))[[j, k]]
     if j == k:
         return (func(z + h * ej, tau_mat) - 2 * func(z, tau_mat)
                 + func(z - h * ej, tau_mat)) / (h * h)

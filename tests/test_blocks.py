@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from latticecft import blocks
+from latticecft.acceptance import DEFAULT_SEED, Tolerances, criterion_06_verlinde
 from latticecft.blocks import (
     block_dimension,
     fusion_rules,
@@ -176,6 +180,19 @@ class TestFactorization:
             labels = BlockLabel.from_dict({"f": lam})
             rep = verify_factorization(s, (t1, t2), [("x", "y")], labels, z3)
             assert rep.equal
+
+    def test_terms_listed_up_to_their_budget(self, monkeypatch, z2):
+        # three glued pairs on a sphere: |A|^3 assignments; only a list of
+        # them past TERMS_BUDGET is refused, the count is not
+        monkeypatch.setattr(blocks, "TERMS_BUDGET", 8)
+        circles = [(f"{d}{i}", o) for i in range(3) for d, o in (("o", OUT), ("i", IN))]
+        split = (Surface.closed(3), (Surface.connected(0, circles),),
+                 [(f"o{i}", f"i{i}") for i in range(3)], no_labels())
+        assert len(verify_factorization(*split, z2, keep_terms=True).terms) == 8
+        z4 = disc_of([[4]])
+        with pytest.raises(GroupTooLarge, match="over 8"):
+            verify_factorization(*split, z4, keep_terms=True)
+        assert verify_factorization(*split, z4).rhs == 4 ** 3
 
 
 REFERENCE_GRAMS = {
@@ -460,3 +477,49 @@ class TestVerlinde:
         s = Surface.connected(1, [("c", OUT)])
         with pytest.raises(MissingLabel):
             verlinde_check(s, no_labels(), z3)
+
+    def test_criterion_6_takes_each_character_sum_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(disc, a):
+            calls[disc, a.coords] += 1
+            return character_sum(disc, a)
+
+        character_sum = blocks._character_sum
+        monkeypatch.setattr(blocks, "_character_sum", counting)
+        assert criterion_06_verlinde(Tolerances(), DEFAULT_SEED).passed
+        per_disc = Counter(disc for disc, _ in calls)
+        assert set(calls.values()) == {1}
+        assert all(count <= disc.order for disc, count in per_disc.items())
+
+    def test_shared_group_matches_fresh_groups(self):
+        # one group across interleaved surfaces and labels answers as a
+        # fresh group does each time, to the bit
+        rng = random.Random(23)
+        d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+        for gram in ([[2, 0], [0, 8]], [[2, 0], [0, 2]], [[6]], d4):
+            shared = disc_of(gram)
+            for _ in range(40):
+                comps, coords = [], {}
+                for c in range(rng.randrange(1, 4)):
+                    circles = [(f"s{c}c{k}", rng.choice([OUT, IN]))
+                               for k in range(rng.randrange(0, 4))]
+                    coords.update({cid: [rng.randrange(d) for d in shared.invariant_factors]
+                                   for cid, _ in circles})
+                    comps.append(Surface.connected(rng.randrange(0, 4), circles))
+                s = comps[0]
+                for extra in comps[1:]:
+                    s = s.disjoint_union(extra)
+                fresh = disc_of(gram)
+                got, want = (verlinde_check(s, BlockLabel.from_dict(
+                    {cid: disc.element(x) for cid, x in coords.items()}), disc)
+                    for disc in (shared, fresh))
+                assert repr(got) == repr(want)
+
+    def test_past_the_float_range_on_a_shared_group(self):
+        # the second call reads the kept sums and calls no cmath function
+        # before the deviation, which is NaN here
+        z6 = disc_of([[6]])
+        for _ in range(2):
+            rep = verlinde_check(Surface.closed(6000), no_labels(), z6)
+            assert rep.equal and math.isnan(rep.deviation)

@@ -144,6 +144,12 @@ class TestFactorize:
         assert code == 0
         assert rep["results"] == {"lhs": 256 ** 3, "rhs": 256 ** 3, "equal": True}
 
+    def test_terms_over_budget_are_refused_at_once(self):
+        # 2^24 terms: the sum is within its budget, a list of its terms is not
+        start = time.perf_counter()
+        assert_refused(self.three_circle_argv("[[256]]") + ["--terms"], "GroupTooLarge")
+        assert time.perf_counter() - start < 1.0
+
     def test_invalid_split_error(self):
         genus2 = '{"components":[{"genus":2,"boundaries":[]}]}'
         code, rep = invoke(["factorize", "--surface", genus2,
@@ -422,7 +428,7 @@ class TestDeterminism:
 class TestGoldenReports:
     def test_reports_unchanged(self):
         reports = golden_reports()
-        assert len(reports) == 18
+        assert len(reports) == 20
         for argv, report in reports:
             assert render_report(argv) == report, argv
 

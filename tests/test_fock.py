@@ -55,18 +55,18 @@ from oracles import (
 C09_CASES = [[[0.0]], [[0.25]], [[-0.6]], [[0.5 + 0.3j]], [[0.2 - 0.55j]],
              [[0.3, 0.1], [0.1, -0.2]], [[0.2 + 0.1j, 0.05j], [0.05j, 0.4 - 0.2j]],
              [[0.0, 0.45], [0.45, 0.0]]]
-LINSPACE = np.linspace
+ABSCISSAE = fock._abscissae
 
 
 def fock_grid(t):
     """(half-width, points per axis) of the grid `gaussian_overlap_quadrature(t)`
-    integrates on, read off its one `np.linspace` call."""
+    integrates on, read off its `fock._abscissae` calls: one per 1-D piece, one in 2-D."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "linspace", lambda *args: calls.append(args) or LINSPACE(*args))
+        mp.setattr(fock, "_abscissae", lambda *args: calls.append(args[:2]) or ABSCISSAE(*args))
         gaussian_overlap_quadrature(t)
-    ((_, span, points),) = calls
-    return span, points
+    (grid,) = set(calls)
+    return grid
 
 
 def lattice_pair(gram):
@@ -628,6 +628,27 @@ class TestBogoliubov:
         assert points > 4 * SLAB
         assert traced_peak(lambda: gaussian_overlap_quadrature(t)) < 8e6
         assert abs(gaussian_overlap_quadrature(t) - bogoliubov_overlap(t)) < 1e-11
+
+    def test_abscissae_are_linspace_pieces(self):
+        # each piece is bit for bit the slice of the whole np.linspace grid
+        rng = random.Random(31)
+        for _ in range(300):
+            span, points = rng.uniform(0.01, 80.0), rng.randrange(3, 20001, 2)
+            start = rng.randrange(points)
+            stop = rng.choice([points, rng.randint(start, points)])
+            whole = np.linspace(-span, span, points)
+            assert (fock._abscissae(span, points, start, stop).tobytes()
+                    == whole[start:stop].tobytes()), (span, points, start, stop)
+
+    def test_one_d_grid_is_never_whole(self, monkeypatch, traced_peak):
+        # 1,578,741 points: one linspace of them alone is 12.6 MB
+        t = [[1 - 1e-9]]
+        sizes = []
+        monkeypatch.setattr(np, "linspace", lambda *args, **kw: pytest.fail("whole grid"))
+        monkeypatch.setattr(fock, "_abscissae",
+                            lambda *args: sizes.append(args[3] - args[2]) or ABSCISSAE(*args))
+        assert traced_peak(lambda: gaussian_overlap_quadrature(t)) < 3e6
+        assert max(sizes) == SLAB // 4 and sum(sizes) - len(sizes) + 1 == fock_grid(t)[1]
 
     @pytest.mark.parametrize("t", [[[0.9999]], [[0.0, 0.98], [0.98, 0.0]]])
     def test_quadrature_near_unit_norm(self, t):

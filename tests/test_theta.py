@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latticecft import theta as theta_layer
 from latticecft.errors import NotPositiveDefinite, TruncationOverflow
 from latticecft.theta import (
     SiegelPoint,
@@ -29,6 +30,12 @@ def principal(g):
     return ThetaSpec.make((Fraction(0),) * g, (Fraction(0),) * g)
 
 
+def random_tau(rng, g):
+    """A random g x g period matrix: symmetric, Im tau positive definite."""
+    re, m = rng.uniform(-0.5, 0.5, (g, g)), rng.standard_normal((g, g))
+    return (re + re.T) / 2 + 1j * (m @ m.T + 0.5 * np.eye(g))
+
+
 class TestSiegelPoint:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotPositiveDefinite):
@@ -40,6 +47,19 @@ class TestSiegelPoint:
 
     def test_scalar_promotion(self):
         assert SiegelPoint.make([[2j]]).g == 1
+
+    def test_lam_min_is_the_least_eigenvalue_of_im_tau(self):
+        rng = np.random.default_rng(29)
+        for g in (1, 2, 3, 4):
+            for _ in range(10):
+                tau = SiegelPoint.make(random_tau(rng, g))
+                assert tau.lam_min() == np.min(np.linalg.eigvalsh(tau.tau.imag))
+
+    def test_theta_takes_no_eigenvalues(self, monkeypatch):
+        # lambda_min is kept from make's validation, once per point
+        tau = SiegelPoint.make([[1.0j, 0.3j], [0.3j, 1.4j]])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh"))
+        assert theta(principal(2), [0.1, 0.2], tau).radius > 0
 
     @pytest.mark.parametrize("tau", [[[complex(0, np.inf)]], [[complex(np.nan, 1)]]])
     def test_rejects_non_finite(self, tau):
@@ -116,6 +136,30 @@ class TestThetaValues:
         # the tail table would need 4 |Im z| / lambda_min shells (or overflow int())
         with pytest.raises(TruncationOverflow, match="largest terms"):
             theta(principal(1), [complex(0, im_z)], TAU_I)
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize("g", range(4))
+    def test_terms_summed_in_lexsort_order(self, monkeypatch, g):
+        # the oracle lays the box out as an 'ij' meshgrid, evaluates every
+        # term there and sorts the rows with np.lexsort: _tree_sum must get
+        # those terms, bit for bit, in that order
+        rng = np.random.default_rng(g)
+        summed = []
+        monkeypatch.setattr(theta_layer, "_tree_sum", lambda arr: summed.append(arr) or 0j)
+        tau = random_tau(rng, g)
+        for radius in range(7):
+            a, b = rng.uniform(-0.5, 0.5, g), rng.uniform(-1.0, 1.0, g)
+            z = rng.standard_normal(g) + 0.2j * rng.standard_normal(g)
+            theta_layer._box_sum(a, b, z, tau, radius)
+            axes = [np.arange(-radius, radius + 1, dtype=float)] * g
+            grid = np.meshgrid(*axes, indexing="ij")
+            n = np.stack([x.ravel() for x in grid], axis=1) if g else np.zeros((1, 0))
+            x = n + a
+            terms = np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", x, tau, x)
+                           + 2j * np.pi * (x @ (z + b)))
+            order = np.lexsort(n.T) if g else [0]
+            assert summed.pop().tobytes() == terms[order].tobytes(), radius
 
 
 class TestHeisenbergAction:
