@@ -223,11 +223,11 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
         form = IntersectionForm.closed_genus(disc, 1)
         elements, n = heisenberg.enumerate_h1(form), disc.exponent
         rows = form.rows(elements)
+        pairs = rows @ form.pairing_int % n  # N S(x, .) for every x, once per form
         subgroups = heisenberg.isotropic_subgroups(form)
         for sub in subgroups:
             rep = heisenberg.induce_from_isotropic(form, sub)
-            b = form.rows(sub)
-            perp = int(np.sum(~np.any(rows @ form.pairing_int % n @ b.T % n, axis=1)))
+            perp = int(np.sum(~np.any(pairs @ form.rows(sub).T % n, axis=1)))
             mult = math.isqrt(perp // len(sub))
             expected_dim = mult * disc.order
             ok = ok and mult * len(sub) == disc.order and mult * mult * len(sub) == perp

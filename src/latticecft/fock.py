@@ -5,20 +5,19 @@ graded by energy <x,x>/2 + |partition|; characters are integer q-series
 computed by generating functions and cross-checked against explicit state
 enumeration.  Energies are integer numerators over a known denominator:
 with D the lcm of a vector's denominators and p = D x, <x,x>/2 is
-p^T G p over 2 D^2.  `minimal_norm_lift` bounds its box by the shorter
-of the start lift and its nearest translate (the box's centre), ranks
-the box's points mu by (numerator over the D they share, mu), which
-orders like (norm, lift) because the start lift is fixed, and builds the
-`Fraction` lift only for the winner; one coset walk over lift + Z^r
-yields each vector's energy offset as a numerator over 2 D^2:
-`sector_character` bins it, `enumerate_sector_states` lists its
-oscillator states on top, and
-`sector_state_counts` (criterion 8's explicit counts) adds the binned
-oscillator basis at it.  Oscillator energies are computed once per
-truncation; the annulus sewing check keys energies by numerators too,
-with adj(G) as integer cofactors.
-All three lattice scans (the lift search, the coset walk and the
-sewing check's dual vectors) run over one `_box`, a cube of half-width
+p^T G p over 2 D^2.  One walk, `_walk`, visits the vectors c + mu of a
+coset whose numerator is within a bound, in box order.  The lift search
+walks it once, bounded by the shorter of the start lift and its nearest
+translate, and keeps the least (numerator, mu), which orders like (norm,
+lift) because c is fixed; only the winner becomes a `Fraction` lift.
+`_sector` walks lift + Z^r once more, up to ground + max_offset, and
+turns each numerator into an integer offset or refuses it: `sector_character`
+bins the offsets, `enumerate_sector_states` lists oscillator states on top
+of each vector, and `sector_state_counts` (criterion 8's explicit counts)
+adds the binned oscillator basis at each.  Oscillator energies are computed
+once per truncation; the annulus sewing check keys energies by numerators
+too, with adj(G) as integer cofactors, and scans its dual vectors on its own.
+Both scans run over one `_box`, a cube of half-width
 h = ceil(sqrt(2 E / lambda_min)) + 1 about -round(c): an x = c + mu of
 energy <= E has |x_i| <= h - 1, and |c_i - round(c_i)| <= 1/2, so the
 cube holds it however skewed the basis.
@@ -202,24 +201,15 @@ def mode_operators(tr: ModeTruncation):
     out = {}
     for n in range(1, min(tr.max_mode, tr.max_energy) + 1):
         for c in range(tr.rank):
-            a = np.zeros((dim, dim))
             adag = np.zeros((dim, dim))
             for i, occ in enumerate(basis):
-                d = dict(occ)
-                k = d.get((n, c), 0)
-                if k:
-                    d2 = dict(d)
-                    d2[(n, c)] = k - 1
-                    if d2[(n, c)] == 0:
-                        del d2[(n, c)]
-                    j = index[tuple(sorted(d2.items()))]
-                    a[j, i] = math.sqrt(n * k)
                 if occupation_energy(occ) + n <= tr.max_energy:
-                    d2 = dict(d)
-                    d2[(n, c)] = k + 1
-                    j = index[tuple(sorted(d2.items()))]
-                    adag[j, i] = math.sqrt(n * (k + 1))
-            out[(n, c)] = (a, adag)
+                    d = dict(occ)
+                    k = d.get((n, c), 0) + 1
+                    d[(n, c)] = k
+                    adag[index[tuple(sorted(d.items()))], i] = math.sqrt(n * k)
+            # a lowers each raised state back with the same weight: a is adag's transpose
+            out[(n, c)] = (adag.T.copy(), adag)
     return out
 
 
@@ -254,34 +244,39 @@ def _box(lam_min, energy, centre):
                                for c in centre))
 
 
+def _walk(lat: EvenLattice, centre, bound: int):
+    """fock's one lattice walk: (mu, q) for each mu of `_box` about centre, in
+    box order, whose numerator q = p^T G p, p = D (centre + mu), is at most bound."""
+    den, p0 = _numerators(centre)  # every centre + mu shares den
+    for mu in _box(lat.lambda_min, Fraction(bound, 2 * den * den), centre):
+        q = _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)])
+        if q <= bound:
+            yield mu, q
+
+
 def minimal_norm_lift(lat: EvenLattice, disc: DiscriminantGroup,
                       phi: GroupElement) -> tuple[Fraction, ...]:
     """Minimal-norm dual-lattice representative of the coset phi, ties
-    broken lexicographically.  The box is bounded by the shorter of
+    broken lexicographically.  The walk is bounded by the shorter of
     disc.lift(phi) and its nearest translate lift - round(lift), the box's
     centre: both are coset vectors, so the minimum is no longer than either."""
-    # its own box around disc.lift, not `_coset_walk`'s: folded into the
-    # walk, the `characters` benchmark's peak RSS rose past its bound
     lift0 = disc.lift(phi)
-    den, p0 = _numerators(lift0)  # every candidate lift0 + mu shares den
+    den, p0 = _numerators(lift0)
     near = [x - den * round(l) for x, l in zip(p0, lift0)]
     bound = min(_form_int(lat.gram, p0), _form_int(lat.gram, near))
-    box = _box(lat.lambda_min, Fraction(bound, 2 * den * den), lift0)
     # (numerator, mu) orders like (norm, lift0 + mu): only the winner becomes a lift
-    _, mu = min((_form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]), mu) for mu in box)
+    _, mu = min((q, mu) for mu, q in _walk(lat, lift0, bound))
     return tuple(l0 + m for l0, m in zip(lift0, mu))
 
 
-def _coset_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
-    """The coset vectors lift + mu with energy up to ground + max_offset: returns
-    2 D^2, the ground's numerator q0 over it, and an iterator of (mu, n),
-    n / (2 D^2) the vector's energy offset."""
+def _sector(lat: EvenLattice, disc: DiscriminantGroup, phi: GroupElement, max_offset: int):
+    """phi's lift, its ground energy and an iterator of (mu, off), one per coset
+    vector lift + mu of energy ground + off, off <= max_offset, in box order."""
+    lift = minimal_norm_lift(lat, disc, phi)
     den, p0 = _numerators(lift)
-    scale = 2 * den * den  # energies are integers over 2 D^2
-    bound = (q0 := _form_int(lat.gram, p0)) + scale * max_offset
-    vectors = ((mu, _form_int(lat.gram, [x + den * m for x, m in zip(p0, mu)]))
-               for mu in _box(lat.lambda_min, Fraction(bound, scale), lift))
-    return scale, q0, ((mu, q - q0) for mu, q in vectors if q <= bound)
+    scale, q0 = 2 * den * den, _form_int(lat.gram, p0)  # energies are integers over 2 D^2
+    return lift, Fraction(q0, scale), ((mu, _offset(q - q0, scale, max_offset))
+                                       for mu, q in _walk(lat, lift, q0 + scale * max_offset))
 
 
 def _offset(n: int, scale: int, max_offset: int) -> int:
@@ -319,16 +314,14 @@ def sector_character(lat: EvenLattice, disc: DiscriminantGroup,
         raise ValueError(f"max_energy must be nonnegative, got {max_energy}")
     # the series products below take (E + 1)^2 / 2 steps per oscillator colour
     _within_budget((max_energy + 1) ** 2 * lat.rank, "the q-series")
-    lift = minimal_norm_lift(lat, disc, phi)
+    lift, ground, vectors = _sector(lat, disc, phi, max_energy)
     offsets = [0] * (max_energy + 1)
-    scale, q0, vectors = _coset_walk(lat, lift, max_energy)
-    for _, n in vectors:
-        offsets[_offset(n, scale, max_energy)] += 1
+    for _, off in vectors:
+        offsets[off] += 1
     osc = partition_counts(max_energy, lat.rank)
     coeffs = [sum(offsets[k] * osc[e - k] for k in range(e + 1))
               for e in range(max_energy + 1)]
-    return SectorCharacter(ground_energy=Fraction(q0, scale),
-                           coefficients=tuple(coeffs), lift=lift)
+    return SectorCharacter(ground_energy=ground, coefficients=tuple(coeffs), lift=lift)
 
 
 @dataclass(frozen=True)
@@ -345,40 +338,30 @@ class FockState:
                         + scale * occupation_energy(self.occupation), scale)
 
 
-def _sector_walk(lat: EvenLattice, lift: tuple[Fraction, ...], max_offset: int):
-    """The sector's states up to ground + max_offset, per `_coset_walk` vector:
-    yields (mu, occs), occs the oscillator states that fit on top of it."""
-    scale, _, vectors = _coset_walk(lat, lift, max_offset)
+def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
+                            phi: GroupElement, max_offset: int) -> list[FockState]:
+    """Explicit states of the sector with energy up to ground + max_offset:
+    each coset vector with the oscillator states that fit on top of it."""
+    lift, _, vectors = _sector(lat, disc, phi, max_offset)
     tr = ModeTruncation(rank=lat.rank, max_mode=max(max_offset, 1),
                         max_energy=max_offset)
     # the basis is sorted by energy, so a vector's states are a prefix
     osc_states, osc_energies = oscillator_basis(tr), _basis_energies(tr)
-    for mu, n in vectors:
-        room = bisect.bisect_right(osc_energies, (scale * max_offset - n) // scale)
-        yield mu, osc_states[:room]
-
-
-def enumerate_sector_states(lat: EvenLattice, disc: DiscriminantGroup,
-                            phi: GroupElement, max_offset: int) -> list[FockState]:
-    """Explicit states of the sector with energy up to ground + max_offset."""
-    lift = minimal_norm_lift(lat, disc, phi)
     return [FockState(sector_vector=v, occupation=occ)
-            for mu, occs in _sector_walk(lat, lift, max_offset)
-            for v in [tuple(l0 + m for l0, m in zip(lift, mu))] for occ in occs]
+            for mu, off in vectors
+            for v in [tuple(l0 + m for l0, m in zip(lift, mu))]
+            for occ in osc_states[:bisect.bisect_right(osc_energies, max_offset - off)]]
 
 
 def sector_state_counts(lat: EvenLattice, disc: DiscriminantGroup,
                         phi: GroupElement, max_offset: int) -> list[int]:
     """The states `enumerate_sector_states` lists, counted by energy offset:
-    a `_coset_walk` vector at offset off carries osc[e] states at off + e,
-    osc the binned oscillator basis, whose energies are computed once per
+    a coset vector at offset off carries osc[e] states at off + e, osc the
+    binned oscillator basis, whose energies are computed once per
     truncation; no `Fraction`, no `FockState` and no per-state work."""
     counts = [0] * (max_offset + 1)
-    lift = minimal_norm_lift(lat, disc, phi)
     osc = _enumerated_partition_counts(max_offset, lat.rank)
-    scale, _, vectors = _coset_walk(lat, lift, max_offset)
-    for _, n in vectors:
-        off = _offset(n, scale, max_offset)
+    for _, off in _sector(lat, disc, phi, max_offset)[2]:
         for e in range(max_offset - off + 1):
             counts[off + e] += osc[e]
     return counts

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotPositiveDefinite, RankDeficient, TruncationOverflow
-from .lattices import DEFAULT_SEED, DENSE_ENTRY_BUDGET, _within_budget
+from .lattices import DEFAULT_SEED, DENSE_ENTRY_BUDGET, _MixedRadix, _within_budget
 
 MAX_RADIUS = 60
 
@@ -124,7 +124,7 @@ def _box_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray, tau: np.ndarray,
     g, m = len(a), 2 * radius + 1
     _within_budget(m ** g * g, "the theta box")
     # the 'ij' meshgrid rows of [-radius, radius]^g: row i is i's base-m digits less radius
-    n = np.arange(m ** g)[:, None] // m ** np.arange(g - 1, -1, -1) % m - radius
+    n = _MixedRadix((m,) * g).rows(np.arange(m ** g)) - radius
     x = n + a
     quad = np.einsum("ij,jk,ik->i", x, tau, x)
     lin = x @ (z + b)

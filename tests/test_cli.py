@@ -428,7 +428,7 @@ class TestDeterminism:
 class TestGoldenReports:
     def test_reports_unchanged(self):
         reports = golden_reports()
-        assert len(reports) == 20
+        assert len(reports) == 22
         for argv, report in reports:
             assert render_report(argv) == report, argv
 

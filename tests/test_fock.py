@@ -396,6 +396,26 @@ class TestLiftSearch:
             minimal_norm_lift(lat, disc, phi)
             assert len(adds) <= lat.rank, (phi, len(adds))
 
+    def test_walk_calls_per_scan(self, monkeypatch):
+        # the lift search walks once; each sector function walks the lift
+        # search's coset and then its own; the only other box is the sewing
+        # check's dual scan
+        lat, disc = lattice_pair(REFERENCE_LATTICES["a2"][0])
+        phi = disc.element((1,))
+        walks, boxes, walk, box = [], [], fock._walk, fock._box
+        monkeypatch.setattr(fock, "_walk", lambda *args: walks.append(args) or walk(*args))
+        monkeypatch.setattr(fock, "_box", lambda *args: boxes.append(args) or box(*args))
+        minimal_norm_lift(lat, disc, phi)
+        assert len(walks) == 1
+        for sector_fn in (sector_character, sector_state_counts, enumerate_sector_states):
+            walks.clear()
+            sector_fn(lat, disc, phi, 3)
+            assert len(walks) == 2, sector_fn
+        walks.clear()
+        boxes.clear()
+        annulus_sewing_check(lat, disc, 2)
+        assert len(walks) == 2 * disc.order and len(boxes) == len(walks) + 1
+
 
 class TestAgainstFractionReference:
     """Lifts, characters, states and energies against the oracles' per-axis
@@ -488,14 +508,19 @@ class TestSectorStateCounts:
             assert sector_state_counts(lat, disc, phi, 10) == \
                 brute_force_sector_counts(lat.gram, lift, 10, lat.rank), phi
 
-    @pytest.mark.parametrize("lift", [(Fraction(1, 3),), (Fraction(1),)])
-    def test_refuses_a_non_coset_or_non_minimal_lift(self, monkeypatch, lift):
+    @pytest.mark.parametrize("sector_fn,lift,offset", [
+        pytest.param(sector_state_counts, (Fraction(1, 3),), "1/3", id="lift0"),
+        pytest.param(sector_state_counts, (Fraction(1),), "-1", id="lift1"),
+        pytest.param(enumerate_sector_states, (Fraction(1),), "-1", id="states_lift1"),
+    ])
+    def test_refuses_a_non_coset_or_non_minimal_lift(self, monkeypatch, sector_fn, lift,
+                                                     offset):
         # 1/3 is not in the dual of [[2]]; 1 is in the vacuum coset but
         # above its minimum, so the vector 0 sits one unit below the ground
         lat, disc = lattice_pair([[2]])
         monkeypatch.setattr(fock, "minimal_norm_lift", lambda *_: lift)
-        with pytest.raises(NonIntegralEnergy, match="not in 0..2"):
-            sector_state_counts(lat, disc, disc.zero, 2)
+        with pytest.raises(NonIntegralEnergy, match=f"^offset {offset} not in 0..2$"):
+            sector_fn(lat, disc, disc.zero, 2)
 
 
 class TestOscillatorWork:
