@@ -34,7 +34,7 @@ def show(name: str) -> None:
         print("   S =")
         for row in rep.S:
             print("     ", np.array2string(row))
-        print("   T diag =", np.array2string(np.diag(rep.T)))
+        print("   T diag =", np.array2string(rep.T))
     print(f"   S^4 dev {rep.s4_deviation:.2e}, (ST)^3 anomaly dev "
           f"{rep.st3_deviation:.2e}, S^2 = C dev "
           f"{rep.s2_is_charge_conjugation:.2e}")

@@ -4,8 +4,8 @@ lattices, each returning a structured pass/fail result.
 Numerical criteria take their tolerances from a Tolerances bundle so the
 CLI can override them globally (a zero override makes every numerical
 criterion fail while the exact integer identities keep passing, which is
-the intended semantics).  A defect hook can corrupt the S matrix to
-demonstrate that the modular-relation criterion actually bites.
+the intended semantics).  Criterion 5 reads the relations
+`blocks.genus1_mcg_rep` checks rather than re-deriving them.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from . import blocks, cli, fock, heisenberg, lattices, theta
+from . import blocks, cli, fock, heisenberg, theta
 from .lattices import (BUNDLED_GRAMS, DEFAULT_SEED, EXTRA_GRAMS, discriminant_group,
                        validate_even_lattice)
 from .surfaces import IN, OUT, BlockLabel, Surface, IntersectionForm
@@ -52,10 +52,7 @@ class Tolerances:
             return Tolerances()
         if not value >= 0:  # NaN too
             raise ValueError("tolerance override must be nonnegative")
-        return Tolerances(modular=value, stone_von_neumann=value,
-                          verlinde=value, theta_value=value,
-                          quasi_periodicity=value, heat_residual=value,
-                          bogoliubov=value)
+        return Tolerances(**{f.name: value for f in fields(Tolerances)})
 
 
 @dataclass
@@ -76,8 +73,7 @@ def _discs(grams):
 # 1. normalization
 
 
-def criterion_01_normalization(tol: Tolerances, seed: int,
-                               defects=frozenset()) -> CriterionResult:
+def criterion_01_normalization(tol: Tolerances, seed: int) -> CriterionResult:
     dims = {}
     ok = True
     for name, (lat, disc) in _discs(BUNDLED_GRAMS).items():
@@ -136,8 +132,7 @@ def _random_split(rng: random.Random, genus: int, boundary: int, disc,
             BlockLabel.from_dict(labels))
 
 
-def criterion_02_factorization(tol: Tolerances, seed: int,
-                               defects=frozenset()) -> CriterionResult:
+def criterion_02_factorization(tol: Tolerances, seed: int) -> CriterionResult:
     rng = random.Random(seed)
     targets = [(g, b) for g in range(4) for b in range(5)]
     checked = 0
@@ -169,8 +164,7 @@ def criterion_02_factorization(tol: Tolerances, seed: int,
 # 3. Stone-von Neumann
 
 
-def criterion_03_stone_von_neumann(tol: Tolerances, seed: int,
-                                   defects=frozenset()) -> CriterionResult:
+def criterion_03_stone_von_neumann(tol: Tolerances, seed: int) -> CriterionResult:
     worst_commutant = 0.0
     worst_hom = 0.0
     cases = 0
@@ -215,8 +209,7 @@ def criterion_03_stone_von_neumann(tol: Tolerances, seed: int,
 # 4. induced-representation decomposition
 
 
-def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
-                                       defects=frozenset()) -> CriterionResult:
+def criterion_04_induced_decomposition(tol: Tolerances, seed: int) -> CriterionResult:
     ok = True
     per_lattice = {}
     for name, (lat, disc) in _discs(SMALL_GRAMS).items():
@@ -247,24 +240,19 @@ def criterion_04_induced_decomposition(tol: Tolerances, seed: int,
 # 5. modular relations
 
 
-def criterion_05_modular(tol: Tolerances, seed: int,
-                         defects=frozenset()) -> CriterionResult:
+def criterion_05_modular(tol: Tolerances, seed: int) -> CriterionResult:
     ok = True
     rows = {}
     for name, (lat, disc) in _discs(BUNDLED_GRAMS).items():
-        s = blocks.s_matrix(disc)
-        if "s_sign_flip" in defects:
-            s = -s
-        sigma = lattices.signature_mod8(disc)
-        rep = blocks.modular_relations(disc, s, blocks.t_matrix(disc), sigma)
+        rep = blocks.genus1_mcg_rep(disc)
         devs = {
             "unitarity": rep.unitarity_deviation,
-            "symmetry": float(np.max(np.abs(s - s.T))),
+            "symmetry": float(np.max(np.abs(rep.S - rep.S.T))),
             "charge_conjugation": rep.s2_is_charge_conjugation,
             "st_cubed": rep.st3_deviation,
             "s4": rep.s4_deviation,
         }
-        rows[name] = {**devs, "sigma": sigma}
+        rows[name] = {**devs, "sigma": rep.signature}
         ok = ok and all(v < tol.modular for v in devs.values())
     return CriterionResult(5, "modular relations for S and T", ok, rows)
 
@@ -273,8 +261,7 @@ def criterion_05_modular(tol: Tolerances, seed: int,
 # 6. Verlinde cross-check
 
 
-def criterion_06_verlinde(tol: Tolerances, seed: int,
-                          defects=frozenset()) -> CriterionResult:
+def criterion_06_verlinde(tol: Tolerances, seed: int) -> CriterionResult:
     rng = random.Random(seed + 6)
     disc_list = list(_discs(BUNDLED_GRAMS).items())
     worst = 0.0
@@ -303,8 +290,7 @@ def criterion_06_verlinde(tol: Tolerances, seed: int,
 # 7. theta functions
 
 
-def criterion_07_theta(tol: Tolerances, seed: int,
-                       defects=frozenset()) -> CriterionResult:
+def criterion_07_theta(tol: Tolerances, seed: int) -> CriterionResult:
     from .theta import SiegelPoint, ThetaSpec
     details = {}
     ok = True
@@ -374,8 +360,7 @@ def _direct_theta_sum(tau_mat, radius):
 # 8. loop-group characters
 
 
-def criterion_08_characters(tol: Tolerances, seed: int,
-                            defects=frozenset()) -> CriterionResult:
+def criterion_08_characters(tol: Tolerances, seed: int) -> CriterionResult:
     ok = True
     per_lattice = {}
     discs = _discs(CHARACTER_GRAMS)
@@ -400,8 +385,7 @@ def criterion_08_characters(tol: Tolerances, seed: int,
 # 9. Bogoliubov overlaps
 
 
-def criterion_09_bogoliubov(tol: Tolerances, seed: int,
-                            defects=frozenset()) -> CriterionResult:
+def criterion_09_bogoliubov(tol: Tolerances, seed: int) -> CriterionResult:
     cases_1d = [0.0, 0.25, -0.6, 0.5 + 0.3j, 0.2 - 0.55j]
     cases_2d = [
         [[0.3, 0.1], [0.1, -0.2]],
@@ -437,8 +421,7 @@ def criterion_09_bogoliubov(tol: Tolerances, seed: int,
 # 10. determinism
 
 
-def criterion_10_determinism(tol: Tolerances, seed: int,
-                             defects=frozenset()) -> CriterionResult:
+def criterion_10_determinism(tol: Tolerances, seed: int) -> CriterionResult:
     commands = [
         ["disc", "--lattice", "[[2,1],[1,2]]"],
         ["verlinde", "--lattice", "[[2]]",
@@ -473,7 +456,7 @@ ALL_CRITERIA = [
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None,
-            defects=frozenset(), threads: int = 1) -> list[CriterionResult]:
+            threads: int = 1) -> list[CriterionResult]:
     """Run the ten criteria in order.  The criteria are pure-Python work,
     so threads would only contend for the interpreter lock; `threads` is
     accepted for callers that pass 1 and any other value is refused."""
@@ -484,7 +467,7 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None,
     for fn in ALL_CRITERIA:
         start = time.perf_counter()
         try:
-            result = fn(tol, seed, defects)
+            result = fn(tol, seed)
         except Exception as exc:
             cid = int(fn.__name__.split("_")[1])
             result = CriterionResult(cid, fn.__name__, False,

@@ -6,7 +6,7 @@ multiplicatively over components.  The factorization sum over the labels
 of k gluing circles and the character sums of the Verlinde formula run
 over rows of A^k and A from the mixed-radix indexer of `lattices`, a
 bounded slab at a time.  The genus-1 block space C^A carries the modular
-S and T matrices of the discriminant form; the framing factor
+S matrix and the diagonal T, kept as its |A| twists; the framing factor
 exp(-2 pi i sigma/24) is kept as metadata on the report rather than
 folded into T, so that (S T)^3 = exp(2 pi i sigma/8) S^2 is the relation
 the suite verifies, with sigma certified by the Gauss-sum oracle.
@@ -157,16 +157,16 @@ def s_matrix(disc: DiscriminantGroup) -> np.ndarray:
     return (np.array(roots) / math.sqrt(n))[(c @ disc.bilinear_int % big_n) @ c.T % big_n]
 
 
-def t_matrix(disc: DiscriminantGroup) -> np.ndarray:
-    """Diagonal of twists, T_a = exp(pi i q(a)).
+def t_diagonal(disc: DiscriminantGroup) -> np.ndarray:
+    """T's diagonal in elements() order: the twists T_a = exp(pi i q(a)).
 
     The framing factor exp(-2 pi i sigma/24) belongs to the determinant
     line metadata (see MappingClassReport); keeping T bare is what makes
     (S T)^3 = exp(2 pi i sigma/8) S^2 hold verbatim.
     """
-    _within_budget(disc.order ** 2, "the T matrix")
+    _within_budget(disc.order, "the T diagonal")
     twists = [np.exp(1j * np.pi * (m / disc.exponent)) for m in range(2 * disc.exponent)]
-    return np.diag(np.array(twists)[disc.quadratic_values()])
+    return np.array(twists)[disc.quadratic_values()]
 
 
 def fusion_rules(disc: DiscriminantGroup):
@@ -237,7 +237,7 @@ def verlinde_check(s: Surface, labels: BlockLabel,
 @dataclass(frozen=True, eq=False)
 class MappingClassReport:
     S: np.ndarray
-    T: np.ndarray
+    T: np.ndarray  # the diagonal, as `t_diagonal` gives it
     signature: int
     s4_deviation: float
     st3_deviation: float
@@ -255,26 +255,22 @@ class MappingClassReport:
         return np.exp(-2j * np.pi * self.signature / 24)
 
     def framed_T(self) -> np.ndarray:
-        """T with the framing factor folded in; (S framed_T)^3 = S^2."""
+        """T's diagonal with the framing factor folded in; (S framed_T)^3 = S^2."""
         return self.T * self.framing_phase
 
 
 def genus1_mcg_rep(disc: DiscriminantGroup) -> MappingClassReport:
-    """SL(2,Z) action on the genus-1 block space C^A, with its relations
-    checked by `modular_relations`."""
-    return modular_relations(disc, s_matrix(disc), t_matrix(disc), signature_mod8(disc))
-
-
-def modular_relations(disc: DiscriminantGroup, s: np.ndarray, t: np.ndarray,
-                      sigma: int) -> MappingClassReport:
-    """Deviations of S and T from S^4 = 1, S^2 = charge conjugation,
-    (S T)^3 = exp(2 pi i sigma/8) S^2 and S S* = 1.  With the caller's
-    S and T, at most five |A| x |A| complex arrays are alive at once."""
+    """SL(2,Z) action on the genus-1 block space C^A, with the deviations
+    of S and T from S^4 = 1, S^2 = charge conjugation,
+    (S T)^3 = exp(2 pi i sigma/8) S^2 and S S* = 1.  T is diagonal, so
+    S T scales the columns of S; at most four |A| x |A| complex arrays
+    are alive at once."""
     def deviation_from(a, perm):  # max |a - P| for P[i, perm[i]] = 1, in place
         a[np.arange(len(a)), perm] -= 1
         return float(np.max(np.abs(a)))
 
-    st = s @ t
+    s, t, sigma = s_matrix(disc), t_diagonal(disc), signature_mod8(disc)
+    st = s * t
     st3 = st @ st @ st
     del st
     s2 = s @ s

@@ -234,8 +234,8 @@ def _cmd_modular(args: argparse.Namespace):
         "labels": disc.coordinates(),
         "S_re": rep.S.real,
         "S_im": rep.S.imag,
-        "T_diag_re": np.diag(rep.T).real,
-        "T_diag_im": np.diag(rep.T).imag,
+        "T_diag_re": rep.T.real,
+        "T_diag_im": rep.T.imag,
         "signature_mod8": rep.signature,
         "central_charge_exponent": str(lat.level_ell * lat.rank),
         "s4_deviation": rep.s4_deviation,
@@ -303,9 +303,7 @@ def _cmd_heisenberg(args: argparse.Namespace):
 
 def _cmd_accept(args: argparse.Namespace):
     from . import acceptance
-    defects = frozenset(args.defect or [])
-    results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance,
-                                 defects=defects)
+    results = acceptance.run_all(seed=args.seed, tolerance=args.tolerance)
     rows = []
     for r in results:
         # wall times go to stderr only: reports must be byte-reproducible
@@ -314,7 +312,7 @@ def _cmd_accept(args: argparse.Namespace):
         print(f"criterion {r.cid:02d} [{'PASS' if r.passed else 'FAIL'}] "
               f"{r.name} ({r.seconds:.2f}s)", file=sys.stderr)
     all_ok = all(r.passed for r in results)
-    inputs = {"tolerance": args.tolerance, "defects": sorted(defects)}
+    inputs = {"tolerance": args.tolerance}
     return inputs, {"criteria": rows, "all_passed": all_ok}, all_ok
 
 
@@ -394,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accept", parents=[common],
                        help="run the acceptance suite")
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--defect", action="append", choices=["s_sign_flip"],
-                   help=argparse.SUPPRESS)
     return parser
 
 

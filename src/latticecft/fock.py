@@ -453,10 +453,10 @@ def annulus_sewing_check(lat: EvenLattice, disc: DiscriminantGroup,
 # Bogoliubov overlaps
 
 
-def bogoliubov_overlap(t_matrix) -> float:
+def bogoliubov_overlap(t) -> float:
     """Vacuum overlap for a polarization change with block T:
     det(1 - T*T)^(1/4).  Requires the operator norm of T below 1."""
-    t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    t = np.atleast_2d(np.asarray(t, dtype=complex))
     if t.shape[0] != t.shape[1] or t.shape[0] > 4:
         raise ValueError("T must be square with dimension <= 4")
     norm = float(np.linalg.norm(t, 2))
@@ -466,7 +466,7 @@ def bogoliubov_overlap(t_matrix) -> float:
     return float(det.real) ** 0.25
 
 
-def gaussian_overlap_quadrature(t_matrix) -> float:
+def gaussian_overlap_quadrature(t) -> float:
     """The same overlap from wavefunctions: |<psi_0, psi_T>| normalized,
     psi_T(x) ~ exp(-x^T M x / 2), M = (1 - T)(1 + T)^{-1}, T symmetric of
     dimension 1 or 2, on a tensor trapezoid grid sized by its own error
@@ -475,7 +475,7 @@ def gaussian_overlap_quadrature(t_matrix) -> float:
     aliased at step h = pi sqrt(2 lambda_min(Re A^-1) / ln(1/eps)), eps =
     QUADRATURE_EPS.  A grid over the dense entry budget is refused
     (`GroupTooLarge`); 2-D grids run in row blocks of `SLAB` points, 1-D in pieces."""
-    t = np.atleast_2d(np.asarray(t_matrix, dtype=complex))
+    t = np.atleast_2d(np.asarray(t, dtype=complex))
     dim = t.shape[0]
     if dim > 2:
         raise ValueError("quadrature oracle supports dimensions 1 and 2")

@@ -61,7 +61,7 @@ def as_int(x, what: str) -> int:
     return int(x)
 
 
-def _as_int_matrix(gram) -> IntMatrix:
+def _as_integer_matrix(gram) -> IntMatrix:
     return tuple(tuple(as_int(x, f"entry ({i},{j})") for j, x in enumerate(row))
                  for i, row in enumerate(gram))
 
@@ -88,7 +88,7 @@ def validate_even_lattice(gram) -> EvenLattice:
     bilinear form takes on the lattice is exactly the ideal those
     entries generate.
     """
-    m = _as_int_matrix(gram)
+    m = _as_integer_matrix(gram)
     r = len(m)
     if r == 0 or any(len(row) != r for row in m):
         raise NotSymmetric("Gram matrix must be square and nonempty")
@@ -114,7 +114,7 @@ def validate_even_lattice(gram) -> EvenLattice:
 def smith_normal_form(m) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*M*V = D, U and V unimodular and D diagonal
     with a divisibility chain d1 | d2 | ...  Works for any integer matrix."""
-    u, d, v, _ = _snf_with_inverse(_as_int_matrix(m))
+    u, d, v, _ = _snf_with_inverse(_as_integer_matrix(m))
     return u, d, v
 
 

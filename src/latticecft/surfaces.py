@@ -104,9 +104,6 @@ class Surface:
     def euler_characteristic(self) -> int:
         return sum(comp.euler_characteristic() for comp in self.components)
 
-    def is_closed(self) -> bool:
-        return not self.circles()
-
     def component_signature(self) -> tuple[tuple[int, int], ...]:
         """Multiset of (genus, boundary count), sorted; surfaces are
         isomorphic iff these agree."""

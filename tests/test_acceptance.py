@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticecft import fock, heisenberg
+from latticecft import blocks, fock, heisenberg
 from latticecft.acceptance import (
     ALL_CRITERIA,
     DEFAULT_SEED,
@@ -29,7 +29,7 @@ from latticecft.acceptance import (
     criterion_10_determinism,
     run_all,
 )
-from latticecft.blocks import genus1_mcg_rep
+from latticecft.blocks import genus1_mcg_rep, s_matrix
 from latticecft.errors import NonIntegralEnergy
 from latticecft.lattices import BUNDLED_GRAMS, discriminant_group, validate_even_lattice
 from latticecft.surfaces import glue
@@ -177,10 +177,9 @@ def test_criterion_10_determinism():
 
 
 class TestSuiteSemantics:
-    def test_injected_defect_fails_modular_criterion(self):
-        result = criterion_05_modular(TOL, DEFAULT_SEED,
-                                      defects=frozenset({"s_sign_flip"}))
-        assert not result.passed
+    def test_injected_defect_fails_modular_criterion(self, monkeypatch):
+        monkeypatch.setattr(blocks, "s_matrix", lambda disc: -s_matrix(disc))
+        assert not criterion_05_modular(TOL, DEFAULT_SEED).passed
 
     def test_modular_criterion_reads_library_relations(self):
         result = criterion_05_modular(TOL, DEFAULT_SEED)

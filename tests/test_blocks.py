@@ -13,9 +13,8 @@ from latticecft.blocks import (
     block_dimension,
     fusion_rules,
     genus1_mcg_rep,
-    modular_relations,
     s_matrix,
-    t_matrix,
+    t_diagonal,
     verify_factorization,
     verify_tensor_duality,
     verlinde_check,
@@ -25,7 +24,6 @@ from latticecft.heisenberg import schroedinger_irrep
 from latticecft.lattices import (
     E8_GRAM,
     discriminant_group,
-    signature_mod8,
     validate_even_lattice,
 )
 from latticecft.surfaces import (
@@ -273,8 +271,8 @@ class TestModularData:
     def test_z2_matrices(self, z2):
         s = s_matrix(z2)
         assert np.allclose(s, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        t = t_matrix(z2)
-        assert np.allclose(t, np.diag([1, 1j]))
+        t = t_diagonal(z2)
+        assert np.allclose(t, [1, 1j])
 
     def test_relations_bundled(self, bundled):
         for name, (lat, disc) in bundled.items():
@@ -287,17 +285,11 @@ class TestModularData:
         rep3 = genus1_mcg_rep(z3)
         assert rep3.signature == 2
 
-    def test_relations_of_given_matrices(self, bundled):
+    def test_relations_of_given_matrices(self, bundled, monkeypatch):
+        # -S keeps S^2, S^4 and unitarity but breaks (ST)^3 = e(sigma/8) S^2
+        monkeypatch.setattr(blocks, "s_matrix", lambda disc: -s_matrix(disc))
         for name, (lat, disc) in bundled.items():
-            s, t, sigma = s_matrix(disc), t_matrix(disc), signature_mod8(disc)
-            rep = genus1_mcg_rep(disc)
-            same = modular_relations(disc, s, t, sigma)
-            assert (same.s4_deviation, same.st3_deviation, same.s2_is_charge_conjugation,
-                    same.unitarity_deviation) == (
-                rep.s4_deviation, rep.st3_deviation, rep.s2_is_charge_conjugation,
-                rep.unitarity_deviation), name
-            # -S keeps S^2, S^4 and unitarity but breaks (ST)^3 = e(sigma/8) S^2
-            flipped = modular_relations(disc, -s, t, sigma)
+            flipped = genus1_mcg_rep(disc)
             assert flipped.st3_deviation > 1.0 and not flipped.ok, name
             assert max(flipped.s4_deviation, flipped.s2_is_charge_conjugation,
                        flipped.unitarity_deviation) < 1e-9, name
@@ -305,7 +297,7 @@ class TestModularData:
     def test_framed_t_gives_plain_sl2z(self, bundled):
         for name, (lat, disc) in bundled.items():
             rep = genus1_mcg_rep(disc)
-            st = rep.S @ rep.framed_T()
+            st = rep.S * rep.framed_T()
             st3 = st @ st @ st
             assert np.allclose(st3, rep.S @ rep.S, atol=1e-9), name
 
@@ -330,7 +322,8 @@ class TestIntegerTables:
     @pytest.mark.parametrize("name", sorted(TABLE_GRAMS))
     def test_bit_identical_to_entrywise_forms(self, name):
         disc = disc_of(TABLE_GRAMS[name])
-        for table, oracle in ((s_matrix, entrywise_s_matrix), (t_matrix, entrywise_t_matrix)):
+        for table, oracle in ((s_matrix, entrywise_s_matrix),
+                              (t_diagonal, lambda d: np.diag(entrywise_t_matrix(d)))):
             got, want = table(disc), oracle(disc)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -349,13 +342,13 @@ class TestIntegerTables:
         finally:
             tracemalloc.stop()
         assert rep.ok
-        assert peak <= 5.5 * disc.order ** 2 * 16
+        assert peak <= 4.5 * disc.order ** 2 * 16
 
     @pytest.mark.parametrize("table, order", [
-        (s_matrix, 8194), (t_matrix, 8194), (genus1_mcg_rep, 8194), (fusion_rules, 258)],
-        ids=["s_matrix", "t_matrix", "genus1_mcg_rep", "fusion_rules"])
+        (s_matrix, 8194), (t_diagonal, 2 ** 24 + 2), (genus1_mcg_rep, 8194),
+        (fusion_rules, 258)], ids=["s_matrix", "t_diagonal", "genus1_mcg_rep", "fusion_rules"])
     def test_refused_above_budget(self, table, order):
-        # |A|^2 or, for fusion, |A|^3 just over 2^24 entries
+        # |A|^2, for T's diagonal |A| and for fusion |A|^3, just over 2^24 entries
         with pytest.raises(GroupTooLarge):
             table(disc_of([[order]]))
 

@@ -557,7 +557,7 @@ class TestExitCodes:
                             "--pieces", pieces, "--matching", '[["p","q"]]',
                             "--lattice", "[[2]]"])
         # this split is valid and the identity holds, so exit 0;
-        # the exit-1 path is exercised through accept --defect below
+        # the exit-1 path is exercised through accept with a negated S below
         assert code == 0 and rep["results"]["equal"] is True
 
     def test_negative_tolerance_is_validation_error(self):
@@ -566,8 +566,9 @@ class TestExitCodes:
         assert rep["error_kind"] == "validation"
         assert rep["detail"] == "tolerance override must be nonnegative"
 
-    def test_accept_defect_fails(self):
-        code, rep = invoke(["accept", "--defect", "s_sign_flip"])
+    def test_accept_defect_fails(self, monkeypatch):
+        monkeypatch.setattr(blocks, "s_matrix", lambda disc: -s_matrix(disc))
+        code, rep = invoke(["accept"])
         assert code == 1
         by_id = {row["id"]: row["passed"] for row in rep["results"]["criteria"]}
         assert by_id[5] is False
