@@ -88,13 +88,12 @@ def criterion_01_normalization(tol: Tolerances, seed: int) -> CriterionResult:
 # 2. factorization sweep
 
 
-def _random_split(rng: random.Random, genus: int, boundary: int, disc,
-                  max_circles: int = 3):
+def _random_split(rng: random.Random, genus: int, boundary: int, disc):
     """A random (target, pieces, matching, labels): target is the connected
     surface of the given genus and boundary count, which gluing the pieces
-    along the matching must give."""
+    along at most three circles must give."""
     options = []
-    for k in range(1, max_circles + 1):
+    for k in range(1, 4):
         if genus >= k:
             options.append(("self", k))
         if genus >= k - 1:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidSplit, MissingLabel
+from .errors import InvalidSplit
 from .exact import PhaseSum
 from .lattices import (
     DENSE_ENTRY_BUDGET,
@@ -93,12 +93,10 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
     total contributes the product of the weights |A|^genus, the same for
     all of them, so the sum is that product times a count.
     """
-    if len(pieces) == 1:
-        glued = glue(pieces[0], None, matching)
-    elif len(pieces) == 2:
-        glued = glue(pieces[0], pieces[1], matching)
-    else:
+    if len(pieces) not in (1, 2):
         raise InvalidSplit("a split has one self-glued piece or two pieces")
+    comps = [comp for piece in pieces for comp in piece.components]
+    glued = glue(Surface(tuple(comps)), None, matching)
     if glued.component_signature() != s.component_signature():
         raise InvalidSplit(
             f"gluing yields {glued.component_signature()}, "
@@ -109,7 +107,6 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
     lhs = block_dimension(s, labels, disc)
     match_slot = {cid: idx for idx, pair in enumerate(matching) for cid in pair}
     k = len(disc.invariant_factors)
-    comps = [comp for piece in pieces for comp in piece.components]
     width = len(comps) * k
     # component totals = (const + assignment @ signs) mod the factors
     const, signs, weight = [0] * width, [[0] * width for _ in range(len(matching) * k)], 1
@@ -119,11 +116,8 @@ def verify_factorization(s: Surface, pieces: tuple[Surface, ...],
             if circle.id in match_slot:
                 for i in range(k):
                     signs[match_slot[circle.id] * k + i][c * k + i] += sign
-            else:
-                lam = labels.get(circle.id)
-                if lam is None:
-                    raise MissingLabel(f"no label for circle {circle.id!r}")
-                for i, x in enumerate(lam.coords):
+            else:  # a free circle of s, which block_dimension found labelled
+                for i, x in enumerate(labels.get(circle.id).coords):
                     const[c * k + i] += sign * x
         weight *= disc.order ** comp.genus
     const = np.array(const, dtype=disc.bilinear_int.dtype)

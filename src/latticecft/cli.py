@@ -44,16 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _encode(obj):
-    """Arrays as nested lists, numpy scalars as numbers, Fraction as a string
-    and complex as [re, im]; json itself writes tuples as lists."""
+    """Arrays as nested lists and Fraction as a string; json itself writes
+    tuples as lists."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
@@ -193,12 +189,19 @@ def _cmd_disc(args: argparse.Namespace):
     return {"gram": lat.gram}, results, None
 
 
-def _cmd_blocks(args: argparse.Namespace):
-    from . import blocks
+def _labelled(args: argparse.Namespace):
+    """The lattice, its discriminant group, the surface and its labels of
+    a `labelled` subcommand, with the surface's |A|^g checked writable."""
     lat, disc = _load_lattice(args.lattice)
     s = _surface(_load_json_arg(args.surface))
     labels = _load_labels(args.labels, disc)
     _writable_powers(disc, s)
+    return lat, disc, s, labels
+
+
+def _cmd_blocks(args: argparse.Namespace):
+    from . import blocks
+    lat, disc, s, labels = _labelled(args)
     dim = blocks.block_dimension(s, labels, disc)
     inputs = {"gram": lat.gram, "surface": s.to_json(), "labels": _label_inputs(labels)}
     return inputs, {"dimension": dim}, None
@@ -249,10 +252,7 @@ def _cmd_modular(args: argparse.Namespace):
 
 def _cmd_verlinde(args: argparse.Namespace):
     from . import blocks
-    lat, disc = _load_lattice(args.lattice)
-    s = _surface(_load_json_arg(args.surface))
-    labels = _load_labels(args.labels, disc)
-    _writable_powers(disc, s)
+    lat, disc, s, labels = _labelled(args)
     rep = blocks.verlinde_check(s, labels, disc)
     results = {"verlinde_re": rep.verlinde_raw.real, "verlinde_im": rep.verlinde_raw.imag,
                "deviation": rep.deviation}
@@ -335,6 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--output", default=None,
                         help="write the JSON report to this path")
+    labelled = _Parser(add_help=False, parents=[common])  # a surface and its labels
+    labelled.add_argument("--surface", required=True)
+    labelled.add_argument("--lattice", default="[[2]]")
+    labelled.add_argument("--labels", default=None)
 
     parser = _Parser(prog="latticecft",
                      description="Abelian lattice CFT computations")
@@ -344,30 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="discriminant group of an even lattice")
     p.add_argument("--lattice", required=True)
 
-    p = sub.add_parser("blocks", parents=[common],
-                       help="conformal-block dimension")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--lattice", default="[[2]]")
-    p.add_argument("--labels", default=None)
+    sub.add_parser("blocks", parents=[labelled],
+                   help="conformal-block dimension")
 
-    p = sub.add_parser("factorize", parents=[common],
+    p = sub.add_parser("factorize", parents=[labelled],
                        help="verify the factorization identity")
-    p.add_argument("--surface", required=True)
     p.add_argument("--pieces", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--lattice", default="[[2]]")
-    p.add_argument("--labels", default=None)
     p.add_argument("--terms", action="store_true")
 
     p = sub.add_parser("modular", parents=[common],
                        help="S/T matrices and their relations")
     p.add_argument("--lattice", required=True)
 
-    p = sub.add_parser("verlinde", parents=[common],
-                       help="Verlinde sum vs block dimension")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--lattice", default="[[2]]")
-    p.add_argument("--labels", default=None)
+    sub.add_parser("verlinde", parents=[labelled],
+                   help="Verlinde sum vs block dimension")
 
     p = sub.add_parser("theta", parents=[common],
                        help="numerical theta function")

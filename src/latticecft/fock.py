@@ -116,19 +116,18 @@ class TrigLoop:
                                     for m, vec in self.modes})
 
 
-def loop_cocycle(xi: TrigLoop, eta: TrigLoop, gram=None) -> float:
+def loop_cocycle(xi: TrigLoop, eta: TrigLoop) -> float:
     """Integral over the circle of <xi, d eta>: by mode pairing equal to
-    -2 pi i sum_m m <xi_m, eta_{-m}> (the inner product extended
-    bilinearly, default the standard one)."""
+    -2 pi i sum_m m <xi_m, eta_{-m}> (the standard inner product extended
+    bilinearly)."""
     if xi.rank != eta.rank:
         raise ValueError("loops have different ranks")
-    g = np.eye(xi.rank) if gram is None else np.asarray(gram, dtype=float)
     total = 0j
     for m, vec in xi.modes:
         if m == 0:
             continue
         other = eta.coefficient(-m)
-        total += -2j * math.pi * m * (np.asarray(vec) @ g @ other)
+        total += -2j * math.pi * m * (np.asarray(vec) @ other)
     if abs(total.imag) > 1e-9 * max(1.0, abs(total)):
         raise ArithmeticError("cocycle of real loops should be real")
     return float(total.real)
@@ -156,7 +155,9 @@ Occupation = tuple[tuple[tuple[int, int], int], ...]  # ((mode, color), count)
 def oscillator_basis(tr: ModeTruncation) -> tuple[Occupation, ...]:
     """All colored occupation states with energy <= max_energy and modes
     <= max_mode, ordered by (energy, occupation); built once per
-    truncation."""
+    truncation.  Counted first, with modes unbounded, at 32 budget
+    entries a state: each takes about 250 bytes."""
+    _within_budget(32 * sum(partition_counts(tr.max_energy, tr.rank)), "the oscillator basis")
     modes = [(n, c) for n in range(1, min(tr.max_mode, tr.max_energy) + 1)
              for c in range(tr.rank)]
     states: list[Occupation] = []
@@ -196,10 +197,11 @@ def mode_operators(tr: ModeTruncation):
     normalized so that [a_m, a_m^+] = m on states that stay inside the
     truncation."""
     basis = oscillator_basis(tr)
+    dim, top = len(basis), min(tr.max_mode, tr.max_energy)
+    _within_budget(top * tr.rank * dim * dim, "the mode operators")
     index = {occ: i for i, occ in enumerate(basis)}
-    dim = len(basis)
     out = {}
-    for n in range(1, min(tr.max_mode, tr.max_energy) + 1):
+    for n in range(1, top + 1):
         for c in range(tr.rank):
             adag = np.zeros((dim, dim))
             for i, occ in enumerate(basis):

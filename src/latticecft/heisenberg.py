@@ -97,7 +97,7 @@ class CenterDescription:
 
 def center(disc: DiscriminantGroup, surface: Surface) -> CenterDescription:
     form = IntersectionForm(surface, disc)
-    slots = tuple(i for i, slot in enumerate(form.basis.slots)
+    slots = tuple(i for i, slot in enumerate(form.basis)
                   if slot.kind == "boundary")
     gens = tuple(HeisenbergElement.pure(x) for x in _units(form, slots))
     return CenterDescription(boundary_slots=slots, generators=gens)

@@ -143,16 +143,7 @@ class BasisSlot:
     circle_id: str | None = None
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
-    slots: tuple[BasisSlot, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.slots)
-
-
-def homology_basis(s: Surface) -> HomologyBasis:
+def homology_basis(s: Surface) -> tuple[BasisSlot, ...]:
     """Fixed basis: per component a1, b1, ..., ag, bg, then boundary-parallel
     classes for every boundary circle except the last."""
     slots = []
@@ -162,7 +153,7 @@ def homology_basis(s: Surface) -> HomologyBasis:
             slots.append(BasisSlot(ci, "b", g))
         for circle in comp.boundaries[:-1]:
             slots.append(BasisSlot(ci, "boundary", 0, circle.id))
-    return HomologyBasis(tuple(slots))
+    return tuple(slots)
 
 
 class IntersectionForm:
@@ -181,8 +172,8 @@ class IntersectionForm:
     def __init__(self, surface: Surface, disc: DiscriminantGroup):
         self.surface = surface
         self.disc = disc
-        self.basis = homology_basis(surface)
-        slots, n = self.basis.slots, self.basis.rank
+        self.basis = slots = homology_basis(surface)
+        n = len(slots)
         sign = {("a", "b"): 1, ("b", "a"): -1}  # a_i . b_i = 1 in each component
         self.J: tuple[tuple[int, ...], ...] = tuple(tuple(
             sign.get((s.kind, t.kind), 0) if (s.component, s.index) == (t.component, t.index)
@@ -193,7 +184,7 @@ class IntersectionForm:
 
     @property
     def rank(self) -> int:
-        return self.basis.rank
+        return len(self.basis)
 
     @cached_property
     def grid(self) -> _MixedRadix:

@@ -24,13 +24,14 @@ from .errors import NotPositiveDefinite, RankDeficient, TruncationOverflow
 from .lattices import DEFAULT_SEED, DENSE_ENTRY_BUDGET, _MixedRadix, _within_budget
 
 MAX_RADIUS = 60
+ALPHA = 0.5  # the bound on |a_i| once `theta` has reduced the characteristic
 
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
     tau: np.ndarray
     g: int
-    _lam_min: float  # Im(tau)'s least eigenvalue, from the validation
+    lam_min: float  # Im(tau)'s least eigenvalue, from the validation
 
     @staticmethod
     def make(tau_like) -> "SiegelPoint":
@@ -47,14 +48,7 @@ class SiegelPoint:
             raise NotPositiveDefinite("Im(tau) must be positive definite")
         tau = tau.copy()
         tau.flags.writeable = False
-        return SiegelPoint(tau=tau, g=g, _lam_min=lam)
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.tau.imag
-
-    def lam_min(self) -> float:
-        return self._lam_min
+        return SiegelPoint(tau=tau, g=g, lam_min=lam)
 
 
 @dataclass(frozen=True)
@@ -84,20 +78,19 @@ class ThetaValue:
     radius: int
 
 
-def _shell_terms(lam_min: float, y_norm: float, g: int, alpha: float,
-                 max_rho: int) -> np.ndarray:
-    """Upper bounds for the absolute sum over each sup-norm shell."""
+def _shell_terms(lam_min: float, y_norm: float, g: int, max_rho: int) -> np.ndarray:
+    """Upper bounds for the absolute sum over each sup-norm shell, for a
+    characteristic reduced to |a_i| <= ALPHA."""
     rho = np.arange(1, max_rho + 1, dtype=float)
     count = (2 * rho + 1) ** g - (2 * rho - 1) ** g
-    expo = (-math.pi * lam_min * np.maximum(rho - alpha, 0.0) ** 2
-            + 2 * math.pi * y_norm * math.sqrt(g) * (rho + alpha))
+    expo = (-math.pi * lam_min * np.maximum(rho - ALPHA, 0.0) ** 2
+            + 2 * math.pi * y_norm * math.sqrt(g) * (rho + ALPHA))
     return count * np.exp(np.minimum(expo, 700.0))
 
 
-def _choose_radius(lam_min: float, y_norm: float, g: int, alpha: float,
-                   tol: float) -> tuple[int, float]:
+def _choose_radius(lam_min: float, y_norm: float, g: int, tol: float) -> tuple[int, float]:
     horizon = MAX_RADIUS + 40 + int(4 * y_norm / lam_min)
-    terms = _shell_terms(lam_min, y_norm, g, alpha, horizon)
+    terms = _shell_terms(lam_min, y_norm, g, horizon)
     with np.errstate(over="ignore"):  # an infinite tail is the refusal's own evidence
         suffix = np.cumsum(terms[::-1])[::-1]
     for radius in range(1, MAX_RADIUS + 1):
@@ -143,7 +136,9 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12) -> ThetaValu
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     g = spec.g
-    z = np.asarray(z, dtype=complex).reshape(g)
+    z = np.asarray(z, dtype=complex).ravel()
+    if len(z) != g:
+        raise ValueError("z length does not match the characteristic length")
     if not np.isfinite(z).all():
         raise ValueError("z has an entry that is not finite")
     if tau.g != g:
@@ -151,13 +146,12 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12) -> ThetaValu
     shift = [math.floor(ai + Fraction(1, 2)) for ai in spec.a]
     a_red = np.array([float(ai - ki) for ai, ki in zip(spec.a, shift)])
     b_vec = np.array([float(bi) for bi in spec.b])
-    lam = tau.lam_min()
+    lam = tau.lam_min
     with np.errstate(over="ignore"):  # an infinite norm is refused just below
         y_norm = float(np.linalg.norm(z.imag))
     if 4 * y_norm / lam > DENSE_ENTRY_BUDGET:  # the largest shell is far past MAX_RADIUS
         raise TruncationOverflow(f"|Im z| = {y_norm:.3e} puts the largest terms past the cap")
-    # |a_i| <= 1/2 after the reduction
-    radius, bound = _choose_radius(lam, y_norm, g, alpha=0.5, tol=tol)
+    radius, bound = _choose_radius(lam, y_norm, g, tol=tol)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         value = _box_sum(a_red, b_vec, z, tau.tau, radius)
     if not np.isfinite(value):
@@ -171,7 +165,7 @@ def theta(spec: ThetaSpec, z, tau: SiegelPoint, tol: float = 1e-12) -> ThetaValu
 
 def hermitian_metric(tau: SiegelPoint, v, w) -> complex:
     """<v, w> = 2 pi conj(v)^T Im(tau)^{-1} w."""
-    yinv = np.linalg.inv(tau.im)
+    yinv = np.linalg.inv(tau.tau.imag)
     v = np.asarray(v, dtype=complex).reshape(tau.g)
     w = np.asarray(w, dtype=complex).reshape(tau.g)
     return complex(2 * math.pi * (v.conj() @ yinv @ w))
@@ -220,7 +214,7 @@ def splitting_character(spec: ThetaSpec, m, n) -> complex:
 def theta_section(spec: ThetaSpec, tau: SiegelPoint, tol: float = 1e-12):
     """The classical series as a section in the metric trivialization:
     F(w) = exp(pi/2 w^T Im(tau)^{-1} w) theta(w)."""
-    yinv = np.linalg.inv(tau.im)
+    yinv = np.linalg.inv(tau.tau.imag)
 
     def section(w):
         w = np.asarray(w, dtype=complex).reshape(tau.g)
@@ -237,7 +231,7 @@ def automorphy_factor(spec: ThetaSpec, tau: SiegelPoint, m, n, z) -> complex:
     factor."""
     z = np.asarray(z, dtype=complex).reshape(tau.g)
     lam = lattice_vector(tau, m, n)
-    yinv = np.linalg.inv(tau.im)
+    yinv = np.linalg.inv(tau.tau.imag)
     quarter = hermitian_metric(tau, lam, lam) / 4
     half = hermitian_metric(tau, lam, z) / 2
     triv = math.pi / 2 * ((z + lam) @ yinv @ (z + lam) - z @ yinv @ z)

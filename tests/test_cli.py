@@ -537,6 +537,30 @@ class TestRefusals:
         code, rep = invoke(["theta", "--tau", '{"im": 1}', "--z", "0", "--char", "Infinity,0"])
         assert code == 2 and rep["error_kind"] == "validation"
 
+    @pytest.mark.parametrize("argv, error_kind, detail", [
+        (["blocks", "--surface", '{"components":[{"genus":-1,"boundaries":[]}]}'],
+         "validation", "genus must be nonnegative"),
+        (["blocks", "--surface", DISK.replace('"out"', '"sideways"')],
+         "OrientationMismatch", "got 'sideways'"),
+        (["fock", "character", "--lattice", "[[2]]", "--phi", "0,1"],
+         "validation", "coordinate length does not match invariant factors"),
+        (["blocks", "--surface", DISK, "--labels", '{"c0":[0,1]}'],
+         "validation", "coordinate length does not match invariant factors"),
+        (["factorize", "--surface", TORUS, "--matching", "[]", "--pieces",
+          f"[{DISK},{DISK.replace('c0', 'c1')},{DISK.replace('c0', 'c2')}]"],
+         "InvalidSplit", "one self-glued piece or two pieces"),
+        (["theta", "--tau", "[[1,2]]", "--z", "0"], "NotPositiveDefinite", "tau must be square"),
+        (["theta", "--tau", '{"im":[[1,0],[0,1]]}', "--z", "[0,0]", "--char", "[0,0],[0]"],
+         "validation", "characteristics must have equal length"),
+        (["theta", "--tau", '{"re":0,"im":1}', "--z", "0", "--char", "[0,0],[0,0]"],
+         "validation", "z length does not match the characteristic length"),
+    ])
+    def test_refusal_names_its_guard(self, argv, error_kind, detail):
+        code, rep = invoke(argv)
+        assert code == 2
+        assert rep["error_kind"] == error_kind
+        assert detail in rep["detail"]
+
     def test_program_fault_is_not_a_parse_refusal(self, monkeypatch):
         def broken(disc):
             raise KeyError("a fault inside the library")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -550,6 +551,22 @@ class TestOscillatorWork:
         assert criterion_08_characters(Tolerances(), DEFAULT_SEED).passed
         sewing_checks = 4
         assert len(calls) <= len(CHARACTER_GRAMS) + sewing_checks
+
+    def test_oscillator_basis_over_budget_is_refused_at_once(self):
+        # d4 at offset 20 has 6,896,895 oscillator states, about 1.7 GB and
+        # two minutes to build; they are counted first
+        lat, disc = lattice_pair(REFERENCE_LATTICES["d4"][0])
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge, match="the oscillator basis"):
+            enumerate_sector_states(lat, disc, disc.zero, 20)
+        assert time.perf_counter() - start < 1.0
+
+    def test_mode_operators_over_budget_are_refused(self):
+        # 17 modes on 1,212 states: 25M entries, though the basis is small
+        tr = ModeTruncation(rank=1, max_mode=17, max_energy=17)
+        assert len(oscillator_basis(tr)) == 1212
+        with pytest.raises(GroupTooLarge, match="the mode operators"):
+            mode_operators(tr)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_enumerated_partition_counts_equal_recurrence(self, rank):

@@ -344,6 +344,25 @@ class TestInduction:
             induce_from_isotropic(form, [gen], splitting=full)
         assert canonical_splitting(form, sub, assigned={zero: 1})[zero] == 0
 
+    def test_intertwiner_between_unequal_dimensions_is_zero(self, z4):
+        form = IntersectionForm.closed_genus(z4, 1)
+        induced = induce_from_isotropic(form, [((2,), (0,))])
+        irrep = schroedinger_irrep(z4, 1)
+        assert (irrep.dimension, induced.dimension) == (4, 8)
+        assert explicit_intertwiner(irrep, induced) == (0, None)
+
+    def test_splitting_refusals(self, z4):
+        form = IntersectionForm.closed_genus(z4, 1)
+        x = ((1,), (0,))
+        with pytest.raises(NotASplitting, match="generators do not span the subgroup"):
+            canonical_splitting(form, [form.zero(), x])  # 2x and 3x are missing
+        sub = subgroup_closure(form, [x])
+        with pytest.raises(NotASplitting, match="is not in the subgroup"):
+            canonical_splitting(form, sub, assigned={((0,), (1,)): Fraction(1, 4)})
+        # chi(x) = 1/4 forces chi(2x) = 1/2, since c(x, x) = 0 on the a-cycle
+        with pytest.raises(NotASplitting, match="contradicts the values already forced"):
+            canonical_splitting(form, sub, assigned={x: Fraction(1, 4), ((2,), (0,)): 0})
+
     def test_splitting_property_holds(self, z4):
         form = IntersectionForm.closed_genus(z4, 1)
         sub = subgroup_closure(form, [((1,), (0,))])

@@ -33,28 +33,28 @@ def z3():
 
 class TestH1Rank:
     def test_sphere(self):
-        assert homology_basis(Surface.sphere()).rank == 0
+        assert len(homology_basis(Surface.sphere())) == 0
 
     def test_one_holed_torus_vs_cw(self):
         s = Surface.connected(1, [("c", OUT)])
-        assert homology_basis(s).rank == 2 == cw_h1_rank([s], [])
+        assert len(homology_basis(s)) == 2 == cw_h1_rank([s], [])
 
     def test_two_holed_genus_two_vs_cw(self):
         s = Surface.connected(2, [("c0", OUT), ("c1", IN)])
-        assert homology_basis(s).rank == 5 == cw_h1_rank([s], [])
+        assert len(homology_basis(s)) == 5 == cw_h1_rank([s], [])
 
     def test_family_vs_cw(self):
         for g in range(0, 4):
             for b in range(0, 4):
                 s = Surface.connected(g, [(f"c{i}", OUT) for i in range(b)])
-                assert homology_basis(s).rank == cw_h1_rank([s], []), (g, b)
+                assert len(homology_basis(s)) == cw_h1_rank([s], []), (g, b)
 
     def test_disjoint_union_additive(self):
         s1 = Surface.connected(1, [("u0", OUT)])
         s2 = Surface.connected(2, [("v0", IN), ("v1", OUT)])
         union = s1.disjoint_union(s2)
-        rank = homology_basis(union).rank
-        assert rank == homology_basis(s1).rank + homology_basis(s2).rank == cw_h1_rank([union], [])
+        rank = len(homology_basis(union))
+        assert rank == len(homology_basis(s1)) + len(homology_basis(s2)) == cw_h1_rank([union], [])
 
 
 class TestIntersectionForm:
@@ -71,7 +71,7 @@ class TestIntersectionForm:
     def test_boundary_parallel_in_kernel(self, z3):
         s = Surface.connected(1, [("c0", OUT), ("c1", IN), ("c2", IN)])
         form = IntersectionForm(s, z3)
-        slots = form.basis.slots
+        slots = form.basis
         for k, slot in enumerate(slots):
             if slot.kind != "boundary":
                 continue
@@ -101,9 +101,9 @@ class TestIntersectionForm:
     def test_basis_layout(self, z2):
         s = Surface.connected(2, [("c0", OUT), ("c1", IN)])
         basis = homology_basis(s)
-        kinds = [slot.kind for slot in basis.slots]
+        kinds = [slot.kind for slot in basis]
         assert kinds == ["a", "b", "a", "b", "boundary"]
-        assert basis.slots[-1].circle_id == "c0"
+        assert basis[-1].circle_id == "c0"
 
 
 class TestFlattening:
@@ -239,7 +239,7 @@ class TestGlue:
         t = Surface.connected(1, [("p", OUT), ("q", IN)])
         s = glue(t, None, [("p", "q")])
         assert s.component_signature() == ((2, 0),)
-        assert cw_h1_rank([t], [("p", "q")]) == 4 == homology_basis(s).rank
+        assert cw_h1_rank([t], [("p", "q")]) == 4 == len(homology_basis(s))
 
     def test_orientation_mismatch(self):
         with pytest.raises(OrientationMismatch):
@@ -298,7 +298,7 @@ class TestMayerVietoris:
         for _ in range(50):
             pieces, second, matching = random_gluing(rng)
             glued = glue(pieces[0], second, matching)
-            assert homology_basis(glued).rank == cw_h1_rank(pieces, matching)
+            assert len(homology_basis(glued)) == cw_h1_rank(pieces, matching)
 
     def test_gluing_associative_up_to_iso(self):
         rng = random.Random(5)

@@ -53,7 +53,7 @@ class TestSiegelPoint:
         for g in (1, 2, 3, 4):
             for _ in range(10):
                 tau = SiegelPoint.make(random_tau(rng, g))
-                assert tau.lam_min() == np.min(np.linalg.eigvalsh(tau.tau.imag))
+                assert tau.lam_min == np.min(np.linalg.eigvalsh(tau.tau.imag))
 
     def test_theta_takes_no_eigenvalues(self, monkeypatch):
         # lambda_min is kept from make's validation, once per point
